@@ -1,13 +1,12 @@
-"""Enumeration of near-minimum cuts, two-way and multiway.
+"""Pools of near-minimum cuts, two-way and multiway.
 
 The pool of cuts within a factor alpha of the minimum is what the
 knapsack-cover separation works over, so completeness matters more than
-speed here.  Small graphs (n <= 16) are enumerated exhaustively over all
-canonical bipartitions.  Larger graphs fall back to repeated random
-contraction in the Karger style: contract weight-proportionally down to a
-handful of supervertices, record every bipartition of the survivors, and
-repeat often enough that the chance of missing any single near-minimum
-cut is at most 1/n^4.
+speed here.  Both pools filter an exhaustive graphs.CutFamily: every
+canonical bipartition (n <= 16) or every partition into the requested
+number of blocks (n <= 10).  Past those caps, EXHAUSTIVE_LIMIT and
+KWAY_LIMIT (re-exported here), the family raises CapabilityError; there
+is no sampling fallback.
 
 Counting facts used as tripwires: an undirected weighted graph has at
 most n^(2*alpha) cuts within alpha of the minimum, and at most
@@ -17,17 +16,11 @@ enumerators assert these bounds on everything they return.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, DisconnectedError
-from .graphs import Cut, KWayCut, cut_from_side, global_min_cut, kway_cut_from_assignment
-from .util import iter_partitions
-
-EXHAUSTIVE_LIMIT = 16
-KWAY_LIMIT = 10
+from .errors import DisconnectedError
+from .graphs import EXHAUSTIVE_LIMIT, KWAY_LIMIT, CutFamily
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,6 @@ class CutPool:
     cuts: tuple
     alpha: Fraction
     min_cut_value: object
-    complete: bool
 
     def __iter__(self):
         return iter(self.cuts)
@@ -50,40 +42,31 @@ def _count_within_bound(count, n, exponent):
     return count ** exponent.denominator <= n ** exponent.numerator
 
 
-def enumerate_cuts_within(instance, weighting, bound):
-    """All canonical cuts of capacity <= bound, by exhaustive scan (n <= 16)."""
-    n = instance.n
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapabilityError(f"exhaustive cut scan capped at n = {EXHAUSTIVE_LIMIT}, got {n}")
+def _bipartitions(instance, weighting):
     if instance.directed:
         raise ValueError("cut enumeration works on undirected instances")
-    edge_masks = [
-        (1 << e.tail) | (1 << e.head) for e in instance.edges
-    ]
-    weights = [weighting[i] for i in range(instance.m)]
-    cuts = []
-    for mask in range(1, 1 << (n - 1)):
-        side_mask = mask << 1  # canonical sides never contain vertex 0
-        cap = 0
-        for em, w in zip(edge_masks, weights):
-            hit = em & side_mask
-            if hit and hit != em:
-                cap += w
-        if cap <= bound:
-            side = frozenset(v for v in range(1, n) if side_mask >> v & 1)
-            cuts.append(cut_from_side(instance, weighting, side))
+    family = CutFamily(instance)
+    return family, family.capacities(weighting)
+
+
+def _cuts_within(family, capacities, weighting, bound):
+    cuts = [family.cut(i, weighting) for i, cap in enumerate(capacities) if cap <= bound]
     cuts.sort(key=lambda c: (c.capacity, sorted(c.side)))
     return tuple(cuts)
 
 
-def enumerate_near_min_cuts(instance, weighting, alpha, seed=0, force_randomized=False, runs=None):
+def enumerate_cuts_within(instance, weighting, bound):
+    """All canonical cuts of capacity <= bound, by exhaustive scan (n <= 16)."""
+    family, capacities = _bipartitions(instance, weighting)
+    return _cuts_within(family, capacities, weighting, bound)
+
+
+def enumerate_near_min_cuts(instance, weighting, alpha):
     """Pool of all cuts with capacity <= alpha * min cut.
 
-    alpha >= 1.  The minimum is computed exactly with max flows first; a
-    zero minimum (disconnected, or split by zero-weight edges only) makes
-    the relative pool ill-defined and raises DisconnectedError.  The
-    randomized path is deterministic given `seed`; `runs` overrides the
-    repetition schedule (the pool is then flagged incomplete if lower).
+    alpha >= 1.  The minimum is read off the same exhaustive scan; a zero
+    minimum (disconnected, or split by zero-weight edges only) makes the
+    relative pool ill-defined and raises DisconnectedError.
     """
     alpha = Fraction(alpha)
     if alpha < 1:
@@ -91,109 +74,19 @@ def enumerate_near_min_cuts(instance, weighting, alpha, seed=0, force_randomized
     n = instance.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    mincut = global_min_cut(instance, weighting)
-    if mincut.capacity <= 0:
+    family, capacities = _bipartitions(instance, weighting)
+    least = min(capacities)
+    if least <= 0:
         raise DisconnectedError("minimum cut is zero; relative enumeration is undefined")
-    bound = alpha * mincut.capacity
-
-    if n <= EXHAUSTIVE_LIMIT and not force_randomized:
-        cuts = enumerate_cuts_within(instance, weighting, bound)
-        pool = CutPool(cuts, alpha, mincut.capacity, True)
-    else:
-        pool = _randomized_pool(instance, weighting, alpha, mincut, bound, seed, runs)
+    pool = CutPool(_cuts_within(family, capacities, weighting, alpha * least), alpha, least)
     assert _count_within_bound(len(pool.cuts), n, 2 * alpha), "cut-count bound exceeded"
     return pool
 
 
-def _repetition_schedule(n, alpha):
-    # Enough runs that a cut surviving one run with probability n^(-2a)
-    # is missed overall with probability at most 1 / (n^4 * n^(2a)); a
-    # union bound over at most n^(2a) cuts leaves 1/n^4.
-    pools = float(n) ** float(2 * alpha)
-    return math.ceil(pools * math.log(pools * n ** 4))
-
-
-def _randomized_pool(instance, weighting, alpha, mincut, bound, seed, runs):
-    n = instance.n
-    needed = _repetition_schedule(n, alpha)
-    total_runs = needed if runs is None else runs
-    base = max(2, math.ceil(float(2 * alpha)))
-    rng = random.Random(seed)
-    weights = [Fraction(weighting[i]) for i in range(instance.m)]
-    seen = set()
-    for _ in range(total_runs):
-        for side in _contract_once(instance, weights, base, rng):
-            seen.add(side)
-    cuts = []
-    for side in seen:
-        cut = cut_from_side(instance, weighting, side)
-        if cut.capacity <= bound:
-            cuts.append(cut)
-    cuts.sort(key=lambda c: (c.capacity, sorted(c.side)))
-    return CutPool(tuple(cuts), alpha, mincut.capacity, runs is None or runs >= needed)
-
-
-def _contract_once(instance, weights, base, rng):
-    """One weight-proportional contraction down to `base` supervertices.
-
-    Zero-weight edges are never selected, which is exactly right: they
-    contribute nothing to any cut, but cuts separating their endpoints
-    are still real and must stay enumerable.  Yields the canonical side
-    of every bipartition of the surviving supervertices.
-    """
-    n = instance.n
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    groups = n
-    while groups > base:
-        alive = []
-        total = Fraction(0)
-        for i, e in enumerate(instance.edges):
-            if weights[i] > 0 and find(e.tail) != find(e.head):
-                alive.append(i)
-                total += weights[i]
-        # A positive global minimum guarantees a positive-weight crossing
-        # edge while more than one supervertex remains.
-        assert alive, "contraction stalled despite a positive minimum cut"
-        pick = Fraction(rng.getrandbits(64), 1 << 64) * total
-        acc = Fraction(0)
-        chosen = alive[-1]
-        for i in alive:
-            acc += weights[i]
-            if pick < acc:
-                chosen = i
-                break
-        a, b = find(instance.edges[chosen].tail), find(instance.edges[chosen].head)
-        parent[b] = a
-        groups -= 1
-
-    members = {}
-    for v in range(n):
-        members.setdefault(find(v), []).append(v)
-    roots = sorted(members, key=lambda r: min(members[r]))
-    home = next(r for r in roots if 0 in members[r])
-    others = [r for r in roots if r != home]
-    sides = []
-    for mask in range(1, 1 << len(others)):
-        side = []
-        for i, r in enumerate(others):
-            if mask >> i & 1:
-                side.extend(members[r])
-        sides.append(frozenset(side))
-    return sides
-
-
-def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha, seed=0):
+def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha):
     """Pool of `parts`-way cuts within alpha of the minimum `parts`-way cut.
 
-    Exhaustive over set partitions, so capped at n <= 10; there is no
-    randomized fallback for multiway cuts.
+    Exhaustive over set partitions, so capped at n <= 10.
     """
     alpha = Fraction(alpha)
     if alpha < 1:
@@ -202,23 +95,15 @@ def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha, seed=0):
         raise ValueError("parts must be between 2 and n")
     if instance.directed:
         raise ValueError("multiway cut enumeration works on undirected instances")
-    if instance.n > KWAY_LIMIT:
-        raise CapabilityError(
-            f"multiway enumeration is exhaustive only and capped at n = {KWAY_LIMIT}"
-        )
-    cuts = []
-    best = None
-    for assignment in iter_partitions(instance.n, parts):
-        cut = kway_cut_from_assignment(instance, weighting, assignment)
-        cuts.append(cut)
-        if best is None or cut.capacity < best:
-            best = cut.capacity
-    if best is None or best <= 0:
+    family = CutFamily(instance, (parts,))
+    capacities = family.capacities(weighting)
+    best = min(capacities)
+    if best <= 0:
         raise DisconnectedError("minimum multiway cut is zero; relative enumeration is undefined")
     bound = alpha * best
     kept = tuple(
         sorted(
-            (c for c in cuts if c.capacity <= bound),
+            (family.cut(i, weighting) for i, cap in enumerate(capacities) if cap <= bound),
             key=lambda c: (c.capacity, [sorted(p) for p in c.parts]),
         )
     )

@@ -13,18 +13,24 @@ Directed instances are accepted only with Pairs requirements; the other
 two shapes are cut conditions on undirected graphs.
 
 Flow and cut queries take an EdgeWeighting so the same topology can be
-evaluated under capacities, costs, scaled capacities, or a subset
+evaluated under capacities, scaled capacities, copy counts, or a subset
 restriction without rebuilding anything.  All values stay exact: integer
 weightings give integer flows, rational weightings give rational flows.
+
+Every exhaustive cut scan in the package filters one CutFamily: the
+canonical bipartitions or partitions of an instance, each with its
+crossing edges and the demand the requirements put on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InstanceFormatError
+from .errors import CapabilityError, InstanceFormatError
 from .util import format_rational, iter_partitions
 
 
@@ -134,7 +140,6 @@ def _validate_requirements(req, n, directed):
 @dataclass(frozen=True)
 class EdgeWeighting:
     values: tuple
-    label: str = ""
 
     def __getitem__(self, e):
         return self.values[e]
@@ -144,11 +149,7 @@ class EdgeWeighting:
 
 
 def capacity_weighting(instance):
-    return EdgeWeighting(tuple(e.capacity for e in instance.edges), "u")
-
-
-def cost_weighting(instance):
-    return EdgeWeighting(tuple(e.cost for e in instance.edges), "c")
+    return EdgeWeighting(tuple(e.capacity for e in instance.edges))
 
 
 def fractional_capacity(instance, x):
@@ -156,7 +157,7 @@ def fractional_capacity(instance, x):
     if len(x) != instance.m:
         raise ValueError("x must assign a value to every edge")
     return EdgeWeighting(
-        tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges)), "uhat"
+        tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
     )
 
 
@@ -167,8 +168,7 @@ def subset_weighting(instance, edge_subset):
         if not 0 <= e < instance.m:
             raise ValueError(f"edge index {e} out of range")
     return EdgeWeighting(
-        tuple(e.capacity if i in chosen else 0 for i, e in enumerate(instance.edges)),
-        "u|subset",
+        tuple(e.capacity if i in chosen else 0 for i, e in enumerate(instance.edges))
     )
 
 
@@ -245,6 +245,94 @@ def kway_cut_from_assignment(instance, weighting, assignment):
     )
     cap = sum(weighting[e] for e in crossing)
     return KWayCut(parts, crossing, cap)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive cut family
+
+EXHAUSTIVE_LIMIT = 16  # bipartitions
+KWAY_LIMIT = 10        # partitions, and every cut of a k-way requirement
+
+
+def row_requirement(instance, shape):
+    """The demand the instance requirements put on the cut `shape`.
+
+    `shape` assigns each vertex a block; block 1 is the source side of a
+    directed cut.  Uniform rows carry R, k-way rows the bound of their
+    block count (none past the last level), and pair rows the largest
+    demand whose pair they separate.
+    """
+    req = instance.requirements
+    if isinstance(req, Uniform):
+        return req.R
+    if isinstance(req, KWay):
+        level = max(shape) - 1
+        return req.Rs[level] if level < len(req.Rs) else 0
+    crosses = _crosses(instance)
+    return max((r for s, t, r in req.pairs if crosses(shape[s], shape[t])), default=0)
+
+
+def _crosses(instance):
+    # Compares the blocks of u and v: (u, v) crosses a cut when they
+    # differ, or for a directed cut when u is on the source side and v off.
+    return operator.gt if instance.directed else operator.ne
+
+
+class CutFamily:
+    """Every canonical cut of an instance, enumerated once.
+
+    Row i is `shapes[i]` (a vertex -> block assignment, one byte per
+    vertex), `crossing[i]` (the ascending indices of the edges it cuts)
+    and `requirement[i]` (its `row_requirement`).  With `sizes` None the
+    rows are the canonical bipartitions, vertex 0 outside the side, and
+    n <= 16; a directed instance has one row per source side instead.
+    With `sizes` the rows are the partitions into each listed block
+    count, in `iter_partitions` order, and n <= 10.  Scans filter the
+    rows by their `capacities` and build Cut or KWayCut objects only for
+    the rows they keep.
+    """
+
+    def __init__(self, instance, sizes=None):
+        n = instance.n
+        self.kway = sizes is not None
+        limit = KWAY_LIMIT if self.kway else EXHAUSTIVE_LIMIT
+        if n > limit:
+            raise CapabilityError(f"cuts are enumerated exhaustively; capped at n = {limit}, got {n}")
+        if instance.directed:
+            shapes = (tuple(mask >> v & 1 for v in range(n)) for mask in range(1, (1 << n) - 1))
+        else:
+            shapes = (a for p in sizes or (2,) for a in iter_partitions(n, p))
+        self.instance = instance
+        self.shapes = tuple(bytes(a) for a in shapes)  # tuples cost 3x the memory
+        ends = [(e.tail, e.head) for e in instance.edges]
+        crosses = _crosses(instance)
+        self.crossing = tuple(
+            tuple(i for i, (u, v) in enumerate(ends) if crosses(a[u], a[v])) for a in self.shapes
+        )
+        self.requirement = tuple(row_requirement(instance, a) for a in self.shapes)
+
+    def capacities(self, weighting):
+        """Exact capacity of every row under `weighting`, summed over
+        integer numerators with one common denominator."""
+        weights = [Fraction(weighting[e]) for e in range(self.instance.m)]
+        den = math.lcm(*(w.denominator for w in weights))
+        nums = [w.numerator * (den // w.denominator) for w in weights]
+        sums = [sum(nums[e] for e in c) for c in self.crossing]
+        return sums if den == 1 else [Fraction(s, den) for s in sums]
+
+    def cut(self, i, weighting):
+        """Row i as a KWayCut (partition rows) or a Cut."""
+        shape = self.shapes[i]
+        if self.kway:
+            return kway_cut_from_assignment(self.instance, weighting, shape)
+        return cut_from_side(self.instance, weighting, [v for v, b in enumerate(shape) if b])
+
+
+def cut_family(instance):
+    """The family of the cuts `instance.requirements` constrain: every
+    level's partitions for k-way requirements, else the bipartitions."""
+    req = instance.requirements
+    return CutFamily(instance, range(2, len(req.Rs) + 2) if isinstance(req, KWay) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +493,16 @@ def global_min_cut(instance, weighting):
 class FeasibilityResult:
     feasible: bool
     witness: object = None     # Cut or KWayCut violating its requirement
-    exact: bool = True
-    note: str = ""
     pair_index: object = None  # which pair failed, for Pairs requirements
 
 
-def check_feasible(instance, edge_subset, kway_cut_pool=None):
+def check_feasible(instance, edge_subset):
     """Does buying `edge_subset` meet the instance requirements?
 
-    Uniform and Pairs checks are exact at any size (they reduce to max
-    flows).  KWay is exact for n <= 10 by enumerating partitions; beyond
-    that the check degrades to the 2-way level plus whatever cut pool the
-    caller supplies, and the result is flagged inexact rather than passed
-    silently.
+    Always exact.  Uniform and Pairs checks reduce to max flows and work
+    at any size.  KWay scans the requirement's cut family, so it raises
+    CapabilityError past n = 10; its witness is the first violated
+    partition, level by level in `iter_partitions` order.
     """
     w = subset_weighting(instance, edge_subset)
     req = instance.requirements
@@ -447,29 +532,11 @@ def check_feasible(instance, edge_subset, kway_cut_pool=None):
         return FeasibilityResult(True)
 
     if isinstance(req, KWay):
-        if instance.n <= 10:
-            for i, r in enumerate(req.Rs):
-                for assignment in iter_partitions(instance.n, i + 2):
-                    cut = kway_cut_from_assignment(instance, w, assignment)
-                    if cut.capacity < r:
-                        return FeasibilityResult(False, cut)
-            return FeasibilityResult(True)
-        # Too large to enumerate partitions: check the 2-way level exactly,
-        # then any supplied pool.  Never a silent pass.
-        gm = global_min_cut(instance, w)
-        if gm.capacity < req.Rs[0]:
-            return FeasibilityResult(False, gm, exact=False, note="heuristic check")
-        if kway_cut_pool is not None:
-            for cut in kway_cut_pool:
-                level = cut.way - 2
-                if level < len(req.Rs):
-                    cap = sum(w[e] for e in cut.crossing)
-                    if cap < req.Rs[level]:
-                        return FeasibilityResult(False, cut, exact=False, note="heuristic check")
-        return FeasibilityResult(
-            True, exact=False,
-            note="heuristic check: levels beyond 2-way verified only against the supplied pool",
-        )
+        family = cut_family(instance)
+        for i, (cap, need) in enumerate(zip(family.capacities(w), family.requirement)):
+            if cap < need:
+                return FeasibilityResult(False, family.cut(i, w))
+        return FeasibilityResult(True)
 
     raise TypeError(f"unknown requirement type {type(req).__name__}")
 

@@ -14,9 +14,11 @@ separation-oracle ellipsoid method, solve_good keeps an explicit, growing
 constraint pool and alternates exact LP solves with separation rounds:
 
   1. restore the plain cut condition under uhat(e) = u(e) * x_e;
-  2. rebuild the pool of small cuts (capacity at most twice the
-     requirement under uhat) and look for violated knapsack-cover
-     inequalities over them.
+  2. look for violated knapsack-cover inequalities over the small cuts
+     (capacity at most twice the requirement under uhat).
+
+Both steps filter one exhaustive cut family (graphs.CutFamily), built
+once per solve; each round computes its row capacities under uhat once.
 
 For step 2 each cut is tested against a nested family of candidate A
 sets, the prefixes of its crossing edges ordered by decreasing x, plus
@@ -37,23 +39,20 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cutenum import EXHAUSTIVE_LIMIT, KWAY_LIMIT, enumerate_cuts_within
-from .errors import CapabilityError, InfeasibleError, IterationLimitError
+from .errors import InfeasibleError, IterationLimitError
 from .graphs import (
     KWay,
     KWayCut,
     Pairs,
     Uniform,
     check_feasible,
-    cut_from_side,
+    cut_family,
     describe_cut,
     fractional_capacity,
-    global_min_cut,
-    kway_cut_from_assignment,
-    max_flow,
+    row_requirement,
 )
 from .simplex import solve_box_covering_lp
-from .util import format_rational, iter_partitions, log2_fixed
+from .util import format_rational, log2_fixed
 
 SEPARATION_BATCH = 40
 
@@ -150,18 +149,11 @@ class FractionalSolution:
 
 def cut_requirement(instance, cut):
     """The demand a given cut must cover, per the instance requirements."""
-    req = instance.requirements
-    if isinstance(req, Uniform):
-        return req.R
-    if isinstance(req, KWay):
-        if isinstance(cut, KWayCut):
-            return req.Rs[cut.way - 2]
-        return req.Rs[0]
-    best = 0
-    for s, t, r in req.pairs:
-        if cut.separates(s, t) and r > best:
-            best = r
-    return best
+    shape = [0] * instance.n
+    for block, part in enumerate(cut.parts if isinstance(cut, KWayCut) else ((), cut.side)):
+        for v in part:
+            shape[v] = block
+    return row_requirement(instance, shape)
 
 
 def residual_requirement(instance, cut, edge_set, requirement=None):
@@ -172,10 +164,22 @@ def residual_requirement(instance, cut, edge_set, requirement=None):
     """
     if requirement is None:
         requirement = cut_requirement(instance, cut)
-    covered = sum(
-        instance.edges[e].capacity for e in set(edge_set) & set(cut.crossing)
-    )
-    return max(0, requirement - covered)
+    return _kc_terms(instance, cut.crossing, edge_set, requirement)[0]
+
+
+def _kc_terms(instance, crossing, edge_set, requirement, clamp=True):
+    """(rhs, coefficients) of the cover row over the crossing edges
+    `crossing` with `edge_set` taken as bought."""
+    inside = set(edge_set)
+    covered = sum(instance.edges[e].capacity for e in crossing if e in inside)
+    rhs = max(0, requirement - covered)
+    coeffs = []
+    for e in crossing:
+        if e in inside:
+            continue
+        cap = instance.edges[e].capacity
+        coeffs.append((e, min(cap, rhs) if clamp else cap))
+    return rhs, tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -227,15 +231,8 @@ def build_kc(instance, cut, edge_set, requirement=None, clamp=True):
     if requirement is None:
         requirement = cut_requirement(instance, cut)
     edge_set = tuple(sorted(set(edge_set)))
-    rhs = residual_requirement(instance, cut, edge_set, requirement)
-    inside = set(edge_set)
-    coeffs = []
-    for e in cut.crossing:
-        if e in inside:
-            continue
-        cap = instance.edges[e].capacity
-        coeffs.append((e, min(cap, rhs) if clamp else cap))
-    return KCConstraint(cut, edge_set, requirement, rhs, tuple(coeffs))
+    rhs, coeffs = _kc_terms(instance, cut.crossing, edge_set, requirement, clamp)
+    return KCConstraint(cut, edge_set, requirement, rhs, coeffs)
 
 
 def check_kc(instance, x, cut, edge_set, requirement=None):
@@ -275,10 +272,10 @@ class ConstraintPool:
 # ---------------------------------------------------------------------------
 # separation
 
-def _candidate_edge_sets(cut, x, threshold):
+def _candidate_edge_sets(crossing, x, threshold):
     """Nested prefixes of the crossing edges by decreasing x, plus the
     nearly-integral subset.  Empty set included."""
-    order = sorted(cut.crossing, key=lambda e: (-x[e], e))
+    order = sorted(crossing, key=lambda e: (-x[e], e))
     cands = [()]
     seen = {()}
     prefix = []
@@ -290,86 +287,48 @@ def _candidate_edge_sets(cut, x, threshold):
         if key not in seen:
             seen.add(key)
             cands.append(key)
-    frozen = tuple(sorted(e for e in cut.crossing if x[e] >= threshold))
+    frozen = tuple(sorted(e for e in crossing if x[e] >= threshold))
     if frozen not in seen:
         cands.append(frozen)
     return cands
 
 
-def _small_cut_pools(instance, uhat, variant):
-    """Cuts worth testing: capacity under uhat at most twice the demand."""
-    if isinstance(variant, UniformVariant):
-        return [enumerate_cuts_within(instance, uhat, 2 * variant.R)]
-    if isinstance(variant, NearUniformVariant):
-        bound = 2 * variant.gamma * variant.base
-        return [enumerate_cuts_within(instance, uhat, bound)]
-    pools = []
-    for i, r in enumerate(variant.Rs):
-        level = []
-        for assignment in iter_partitions(instance.n, i + 2):
-            cut = kway_cut_from_assignment(instance, uhat, assignment)
-            if cut.capacity <= 2 * r:
-                level.append(cut)
-        pools.append(level)
-    return pools
+def _small_rows(family, capacities, variant):
+    """Rows worth testing cover inequalities on: a positive demand and
+    capacity under uhat at most twice it (twice gamma * base for the
+    near-uniform variant)."""
+    near = isinstance(variant, NearUniformVariant)
+    for i, (cap, need) in enumerate(zip(capacities, family.requirement)):
+        if need and cap <= (2 * variant.gamma * variant.base if near else 2 * need):
+            yield i
 
 
-def _violated_requirement_cuts(instance, uhat, variant, clamp):
+def _violated_requirement_cuts(family, capacities, uhat, clamp):
     """Condition 1 separation: cuts whose uhat capacity misses the demand."""
-    out = []
-    if isinstance(variant, UniformVariant):
-        if variant.R == 0:
-            return out
-        mincut = global_min_cut(instance, uhat)
-        if mincut.capacity >= variant.R:
-            return out
-        if instance.n <= EXHAUSTIVE_LIMIT:
-            for cut in enumerate_cuts_within(instance, uhat, variant.R):
-                if cut.capacity < variant.R:
-                    out.append(build_kc(instance, cut, (), variant.R, clamp))
-        else:
-            out.append(build_kc(instance, mincut, (), variant.R, clamp))
-        return out
-    if isinstance(variant, NearUniformVariant):
-        if instance.n <= EXHAUSTIVE_LIMIT:
-            for cut in enumerate_cuts_within(instance, uhat, max(
-                (r for (_, _, r) in instance.requirements.pairs), default=0
-            )):
-                need = cut_requirement(instance, cut)
-                if need > 0 and cut.capacity < need:
-                    out.append(build_kc(instance, cut, (), need, clamp))
-        else:
-            for s, t, r in instance.requirements.pairs:
-                if r == 0:
-                    continue
-                res = max_flow(instance, uhat, s, t, cutoff=r)
-                if res.value < r:
-                    side = frozenset(range(instance.n)) - res.source_side
-                    cut = cut_from_side(instance, uhat, side)
-                    need = cut_requirement(instance, cut)
-                    out.append(build_kc(instance, cut, (), need, clamp))
-        return out
-    for i, r in enumerate(variant.Rs):
-        for assignment in iter_partitions(instance.n, i + 2):
-            cut = kway_cut_from_assignment(instance, uhat, assignment)
-            if cut.capacity < r:
-                out.append(build_kc(instance, cut, (), r, clamp))
-    return out
+    return [
+        build_kc(family.instance, family.cut(i, uhat), (), need, clamp)
+        for i, (cap, need) in enumerate(zip(capacities, family.requirement))
+        if cap < need
+    ]
 
 
-def _violated_kc(instance, x, uhat, variant, threshold, pool):
+def _violated_cover(family, i, edge_set, x, uhat):
+    """The cover row of family row i with `edge_set` (a sorted tuple)
+    taken as bought, when x violates it; None otherwise."""
+    need = family.requirement[i]
+    rhs, coeffs = _kc_terms(family.instance, family.crossing[i], edge_set, need)
+    if sum((c * x[e] for e, c in coeffs), Fraction(0)) >= rhs:
+        return None
+    return KCConstraint(family.cut(i, uhat), edge_set, need, rhs, coeffs)
+
+
+def _violated_kc(family, capacities, variant, x, uhat, threshold, pool):
     out = []
-    for cuts in _small_cut_pools(instance, uhat, variant):
-        for cut in cuts:
-            need = cut_requirement(instance, cut)
-            if need == 0:
-                continue
-            for cand in _candidate_edge_sets(cut, x, threshold):
-                con = build_kc(instance, cut, cand, need)
-                if con.rhs == 0 or con.key() in pool:
-                    continue
-                if con.evaluate(x) < 0:
-                    out.append(con)
+    for i in _small_rows(family, capacities, variant):
+        for cand in _candidate_edge_sets(family.crossing[i], x, threshold):
+            con = _violated_cover(family, i, cand, x, uhat)
+            if con is not None and con.key() not in pool:
+                out.append(con)
     return out
 
 
@@ -456,8 +415,11 @@ def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_ca
     Returns (FractionalSolution, GoodCertificate).  With kc=False the loop
     separates only the plain (unclamped) cut constraints, which yields the
     standard relaxation optimum.  Deterministic given (instance, variant,
-    seed).  Raises InfeasibleError when even the full edge set cannot meet
-    the requirements, IterationLimitError if the round cap trips.
+    kc): no step draws random numbers, so `seed` does not change the
+    result.  Raises InfeasibleError when even the full edge set cannot
+    meet the requirements, IterationLimitError if the round cap trips,
+    and CapabilityError past the cut family's caps (n <= 16, and n <= 10
+    for k-way requirements).
     """
     if instance.directed:
         raise ValueError("solve_good works on undirected instances")
@@ -466,12 +428,7 @@ def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_ca
     if variant is None:
         variant = variant_for(instance, gamma)
     _check_variant(instance, variant)
-    if isinstance(variant, KWayVariant) and instance.n > KWAY_LIMIT:
-        raise CapabilityError(f"k-way separation is exhaustive only; capped at n = {KWAY_LIMIT}")
-    if instance.n > EXHAUSTIVE_LIMIT:
-        raise CapabilityError(
-            f"small-cut pools are rebuilt exhaustively; capped at n = {EXHAUSTIVE_LIMIT}"
-        )
+    family = cut_family(instance)
 
     threshold = nearly_integral_threshold(variant, instance.n)
     scale = scale_factor(variant, instance.n)
@@ -508,9 +465,10 @@ def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_ca
                     for c in pool]
             x, _ = solve_box_covering_lp(costs, rows)
         uhat = fractional_capacity(instance, x)
-        violated = _violated_requirement_cuts(instance, uhat, variant, clamp=kc)
+        capacities = family.capacities(uhat)
+        violated = _violated_requirement_cuts(family, capacities, uhat, clamp=kc)
         if not violated and kc:
-            violated = _violated_kc(instance, x, uhat, variant, threshold, pool)
+            violated = _violated_kc(family, capacities, variant, x, uhat, threshold, pool)
         if not violated:
             sol = FractionalSolution(instance, tuple(x), threshold)
             slacks = tuple(c.evaluate(sol.x) for c in pool)
@@ -542,18 +500,19 @@ def verify_good(instance, solution, variant=None):
     x = solution.x if isinstance(solution, FractionalSolution) else tuple(
         Fraction(v) for v in solution
     )
-    problems = []
+    family = cut_family(instance)
     uhat = fractional_capacity(instance, x)
-    for con in _violated_requirement_cuts(instance, uhat, variant, clamp=True):
-        problems.append(("requirement", con.describe()))
+    capacities = family.capacities(uhat)
+    problems = [
+        ("requirement", con.describe())
+        for con in _violated_requirement_cuts(family, capacities, uhat, clamp=True)
+    ]
     threshold = nearly_integral_threshold(variant, instance.n)
     frozen = tuple(i for i, v in enumerate(x) if v >= threshold)
-    for cuts in _small_cut_pools(instance, uhat, variant):
-        for cut in cuts:
-            need = cut_requirement(instance, cut)
-            if need == 0:
-                continue
-            ok, slack = check_kc(instance, x, cut, frozen, need)
-            if not ok:
-                problems.append(("knapsack-cover", dict(describe_cut(cut), slack=str(slack))))
+    for i in _small_rows(family, capacities, variant):
+        con = _violated_cover(family, i, frozen, x, uhat)
+        if con is not None:
+            problems.append(
+                ("knapsack-cover", dict(describe_cut(con.cut), slack=str(con.evaluate(x))))
+            )
     return problems

@@ -377,8 +377,7 @@ def run(instance):
     )
     assert cost <= 9 * ell_total, "charging bound failed; this is a bug"
     capacity = EdgeWeighting(
-        tuple(copies[e] * instance.edges[e].capacity for e in range(instance.m)),
-        "copies",
+        tuple(copies[e] * instance.edges[e].capacity for e in range(instance.m))
     )
     for j in order:
         s, t, demand = pairs[j]

@@ -23,24 +23,26 @@ from fractions import Fraction
 
 from .errors import CapabilityError, InfeasibleError, InstanceFormatError
 from .graphs import (
+    EXHAUSTIVE_LIMIT,
+    CutFamily,
     Instance,
     KWay,
     Pairs,
     Uniform,
     capacity_weighting,
+    cut_family,
     global_min_cut,
     instance_to_dict,
-    kway_cut_from_assignment,
     max_flow,
     subset_weighting,
 )
 from .kclp import NearUniformVariant, FractionalSolution, nearly_integral_threshold
 from .multicopy import baseline_independent_pairs
-from .util import ceil_div, iter_partitions
+from .util import ceil_div
 
 SUBSET_EDGE_LIMIT = 24
 MULTICOPY_EDGE_LIMIT = 12
-ROW_VERTEX_LIMIT = 16
+ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 
 
 # ---------------------------------------------------------------------------
@@ -51,63 +53,14 @@ def constraint_rows(instance):
 
     A subset is feasible iff every row's capacity under the subset meets
     its demand; likewise a copy vector with capacities copies(e) * u(e).
-    Rows with identical edge sets merge, keeping the largest demand.
+    Rows with identical edge sets merge, keeping the largest demand.  The
+    rows come from the instance's cut family, so n <= 16 (10 for k-way).
     """
-    if instance.n > ROW_VERTEX_LIMIT:
-        raise CapabilityError(
-            f"cut rows are enumerated exhaustively; capped at n = {ROW_VERTEX_LIMIT}"
-        )
-    req = instance.requirements
-    n, m = instance.n, instance.m
     rows = {}
-
-    def note(key, need):
-        if need > 0 and need > rows.get(key, 0):
+    family = cut_family(instance)
+    for key, need in zip(family.crossing, family.requirement):
+        if need > rows.get(key, 0):
             rows[key] = need
-
-    def undirected_key(side):
-        return tuple(
-            e for e in range(m)
-            if (side >> instance.edges[e].tail & 1)
-            != (side >> instance.edges[e].head & 1)
-        )
-
-    if isinstance(req, Uniform):
-        if req.R > 0:
-            for mask in range(1, 1 << (n - 1)):
-                note(undirected_key(mask << 1), req.R)  # vertex 0 stays out
-    elif isinstance(req, Pairs):
-        for s, t, r in req.pairs:
-            if r == 0:
-                continue
-            others = [v for v in range(n) if v not in (s, t)]
-            for mask in range(1 << len(others)):
-                side = 1 << s
-                for i, v in enumerate(others):
-                    if mask >> i & 1:
-                        side |= 1 << v
-                if instance.directed:
-                    key = tuple(
-                        e for e in range(m)
-                        if side >> instance.edges[e].tail & 1
-                        and not side >> instance.edges[e].head & 1
-                    )
-                else:
-                    key = undirected_key(side)
-                note(key, r)
-    elif isinstance(req, KWay):
-        if n > 10:
-            raise CapabilityError("k-way rows are capped at n = 10")
-        for i, r in enumerate(req.Rs):
-            for assignment in iter_partitions(n, i + 2):
-                key = tuple(
-                    e for e in range(m)
-                    if assignment[instance.edges[e].tail]
-                    != assignment[instance.edges[e].head]
-                )
-                note(key, r)
-    else:
-        raise TypeError(f"unknown requirement type {type(req).__name__}")
     return tuple(sorted(rows.items()))
 
 
@@ -707,15 +660,8 @@ def gen_random(
     if kind == "kway":
         if levels < 1 or levels + 1 > n:
             raise ValueError("levels must fit the vertex count")
-        if n > 10:
-            raise CapabilityError("k-way generation enumerates partitions; capped at n = 10")
         w = capacity_weighting(skeleton)
-        floors = []
-        for j in range(2, levels + 2):
-            floors.append(min(
-                kway_cut_from_assignment(skeleton, w, assignment).capacity
-                for assignment in iter_partitions(n, j)
-            ))
+        floors = [min(CutFamily(skeleton, (j,)).capacities(w)) for j in range(2, levels + 2)]
         rs = []
         prev = 1
         for mc in floors:

@@ -32,8 +32,6 @@ class RoundingAttempt:
     edges: tuple
     cost: Fraction
     feasible: bool
-    exact_check: bool
-    note: str
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,7 @@ def round_solution(solution, variant=None, seed=0, max_attempts=MAX_ATTEMPTS):
         result = check_feasible(instance, edges)
         cost = instance.total_cost(edges)
         attempts.append(
-            RoundingAttempt(
-                attempt_seed, edges, cost, result.feasible, result.exact, result.note
-            )
+            RoundingAttempt(attempt_seed, edges, cost, result.feasible)
         )
         if result.feasible:
             return RoundingReport(edges, cost, tuple(attempts), scale)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from capnet.errors import InstanceFormatError
+from capnet.cutenum import KWAY_LIMIT
+from capnet.errors import CapabilityError, InstanceFormatError
 from capnet.graphs import (
     Edge,
     Instance,
@@ -218,7 +219,6 @@ def test_check_feasible_matches_brute(kind, extra):
         ]
         for chosen in subsets:
             got = check_feasible(inst, chosen)
-            assert got.exact
             assert got.feasible == brute_feasible(inst, chosen), (kind, seed, chosen)
             if not got.feasible and kind != "kway":
                 # The witness really is a violated cut.
@@ -233,11 +233,20 @@ def test_check_feasible_matches_brute(kind, extra):
 def test_check_feasible_kway_witness(square_pairs):
     inst = gen_random("kway", n=5, m=8, seed=9, levels=2)
     full = check_feasible(inst, range(inst.m))
-    assert full.feasible and full.exact
+    assert full.feasible
     empty = check_feasible(inst, ())
     assert not empty.feasible
     weights = [0] * inst.m
     assert brute_min_kway_cut(inst, weights, empty.witness.way) == 0
+
+
+def test_check_feasible_kway_past_the_cap_raises():
+    # Partitions are only enumerated up to n = 10; past it the check must
+    # refuse instead of passing an unverified subset.
+    n = KWAY_LIMIT + 1
+    inst = Instance(n, tuple((v, v + 1, 2, 1) for v in range(n - 1)), KWay((1, 2)))
+    with pytest.raises(CapabilityError):
+        check_feasible(inst, range(inst.m))
 
 
 def test_check_feasible_pairs_reports_failing_index(square_pairs):
