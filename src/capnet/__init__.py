@@ -14,6 +14,7 @@ from .errors import (
     DisconnectedError,
     InfeasibleError,
     InstanceFormatError,
+    InvariantError,
     IterationLimitError,
 )
 from .graphs import (
@@ -34,11 +35,8 @@ from .cutenum import CutPool, enumerate_near_min_cuts, enumerate_near_min_kway_c
 from .kclp import (
     FractionalSolution,
     GoodCertificate,
-    KWayVariant,
-    NearUniformVariant,
-    UniformVariant,
+    VariantRecord,
     check_kc,
-    nearly_integral_threshold,
     solve_good,
     variant_for,
     verify_good,
@@ -73,17 +71,16 @@ __all__ = [
     "InfeasibleError",
     "Instance",
     "InstanceFormatError",
+    "InvariantError",
     "IterationLimitError",
     "KWay",
     "KWayCut",
-    "KWayVariant",
     "LabelCoverInstance",
     "MultiCopySolution",
-    "NearUniformVariant",
     "Pairs",
     "RoundingReport",
     "Uniform",
-    "UniformVariant",
+    "VariantRecord",
     "baseline_independent_pairs",
     "check_feasible",
     "check_kc",
@@ -100,7 +97,6 @@ __all__ = [
     "label_cover_from_dict",
     "label_cover_to_dict",
     "max_flow",
-    "nearly_integral_threshold",
     "parse_instance",
     "round_solution",
     "run_multicopy",

@@ -1,10 +1,10 @@
 """Command line front end: solve, bench, gen, verify, exact.
 
 Exit codes: 0 success, 1 usage or capability error, 2 infeasible or
-failed run, 3 verification failure.  Every error is also emitted as a
-single JSON line on stderr.  Reports are deterministic byte-for-byte
-given the same flags; wall time goes to stderr only, never into output
-files.
+failed run, 3 verification failure or a broken internal invariant
+(InvariantError).  Every error is also emitted as a single JSON line on
+stderr.  Reports are deterministic byte-for-byte given the same flags;
+wall time goes to stderr only, never into output files.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .errors import (
     DisconnectedError,
     InfeasibleError,
     InstanceFormatError,
+    InvariantError,
     IterationLimitError,
 )
-from .graphs import KWay, Pairs, Uniform, parse_instance, serialize_instance
+from .graphs import Pairs, parse_instance, serialize_instance
 from .kclp import solve_good, variant_for, verify_good
 from .multicopy import run as run_multicopy
 from .oracle import (
@@ -89,15 +90,6 @@ def _report_text(rows, fmt, comments=()):
     return _csv_text(rows, comments) if fmt == "csv" else _json_text(rows, comments)
 
 
-def _infer_algorithm(instance):
-    req = instance.requirements
-    if isinstance(req, Uniform):
-        return "uniform"
-    if isinstance(req, KWay):
-        return "kway"
-    return "near-uniform"
-
-
 def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
     """One report row plus the JSON trace document."""
     row = {"instance": name, "variant": alg, "n": instance.n, "m": instance.m,
@@ -144,10 +136,10 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
 def cmd_solve(args):
     with open(args.instance) as fh:
         instance = parse_instance(fh.read())
-    alg = args.alg or _infer_algorithm(instance)
+    expected = variant_for(instance).kind
+    alg = args.alg or expected
     if alg != "multicopy" and args.seed is None:
         raise ValueError("--seed is required for randomized rounding")
-    expected = _infer_algorithm(instance)
     if alg != "multicopy" and alg != expected:
         raise ValueError(
             f"--alg {alg} does not match the instance requirements (expected {expected})"
@@ -263,7 +255,7 @@ def _verify_checks():
         reference.cost() == 3 * R,
         f"cost {format_rational(reference.cost())}, expected {3 * R}",
     )
-    problems = verify_good(star, reference, variant_for(star))
+    problems = verify_good(star, reference)
     yield (
         "star-gap-reference-conditions",
         not problems,
@@ -383,6 +375,9 @@ def main(argv=None):
     except (InfeasibleError, DisconnectedError, IterationLimitError) as exc:
         _emit_error(type(exc).__name__, exc)
         return 2
+    except InvariantError as exc:
+        _emit_error(type(exc).__name__, exc)
+        return 3
     finally:
         sys.stderr.write(f"wall time: {time.monotonic() - started:.3f}s\n")
     return code

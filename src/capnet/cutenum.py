@@ -1,17 +1,19 @@
 """Pools of near-minimum cuts, two-way and multiway.
 
-The pool of cuts within a factor alpha of the minimum is what the
-knapsack-cover separation works over, so completeness matters more than
-speed here.  Both pools filter an exhaustive graphs.CutFamily: every
-canonical bipartition (n <= 16) or every partition into the requested
-number of blocks (n <= 10).  Past those caps, EXHAUSTIVE_LIMIT and
-KWAY_LIMIT (re-exported here), the family raises CapabilityError; there
-is no sampling fallback.
+A pool holds every cut within a factor alpha of the minimum, so
+completeness matters more than speed here.  (The knapsack-cover
+separation in kclp filters the cut family directly, not these pools.)
+Both pools filter an exhaustive graphs.CutFamily: every canonical
+bipartition (n <= 16) or every partition into the requested number of
+blocks (n <= 10).  Past those caps, EXHAUSTIVE_LIMIT and KWAY_LIMIT
+(re-exported here), the family raises CapabilityError; there is no
+sampling fallback.
 
 Counting facts used as tripwires: an undirected weighted graph has at
 most n^(2*alpha) cuts within alpha of the minimum, and at most
 n^(2*alpha*(p-1)) p-way cuts within alpha of the minimum p-way cut.  The
-enumerators assert these bounds on everything they return.
+enumerators check these bounds on everything they return and raise
+InvariantError if one is exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DisconnectedError
+from .errors import DisconnectedError, invariant
 from .graphs import EXHAUSTIVE_LIMIT, KWAY_LIMIT, CutFamily
 
 
@@ -79,7 +81,7 @@ def enumerate_near_min_cuts(instance, weighting, alpha):
     if least <= 0:
         raise DisconnectedError("minimum cut is zero; relative enumeration is undefined")
     pool = CutPool(_cuts_within(family, capacities, weighting, alpha * least), alpha, least)
-    assert _count_within_bound(len(pool.cuts), n, 2 * alpha), "cut-count bound exceeded"
+    invariant(_count_within_bound(len(pool.cuts), n, 2 * alpha), "cut-count bound exceeded")
     return pool
 
 
@@ -107,6 +109,6 @@ def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha):
             key=lambda c: (c.capacity, [sorted(p) for p in c.parts]),
         )
     )
-    assert _count_within_bound(len(kept), instance.n, 2 * alpha * (parts - 1)), \
-        "multiway cut-count bound exceeded"
+    invariant(_count_within_bound(len(kept), instance.n, 2 * alpha * (parts - 1)),
+              "multiway cut-count bound exceeded")
     return kept

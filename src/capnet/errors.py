@@ -28,6 +28,16 @@ class DisconnectedError(RuntimeError):
     """Enumeration relative to the minimum cut is undefined at min cut zero."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug, not bad input.  Raised by
+    explicit checks, so `python -O` keeps them."""
+
+
+def invariant(holds, message):
+    if not holds:
+        raise InvariantError(message)
+
+
 class IterationLimitError(RuntimeError):
     """Cutting-plane loop hit its round cap.  Carries the constraint pool."""
 

@@ -12,7 +12,8 @@ instance carries one of three requirement shapes:
 Directed instances are accepted only with Pairs requirements; the other
 two shapes are cut conditions on undirected graphs.
 
-Flow and cut queries take an EdgeWeighting so the same topology can be
+Flow and cut queries take a weighting, a plain tuple (any sequence
+indexed by edge) of per-edge weights, so the same topology can be
 evaluated under capacities, scaled capacities, copy counts, or a subset
 restriction without rebuilding anything.  All values stay exact: integer
 weightings give integer flows, rational weightings give rational flows.
@@ -27,10 +28,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, InstanceFormatError
+from .errors import CapabilityError, InstanceFormatError, InvariantError, invariant
 from .util import format_rational, iter_partitions
 
 
@@ -137,28 +138,15 @@ def _validate_requirements(req, n, directed):
 # ---------------------------------------------------------------------------
 # weightings
 
-@dataclass(frozen=True)
-class EdgeWeighting:
-    values: tuple
-
-    def __getitem__(self, e):
-        return self.values[e]
-
-    def __len__(self):
-        return len(self.values)
-
-
 def capacity_weighting(instance):
-    return EdgeWeighting(tuple(e.capacity for e in instance.edges))
+    return tuple(e.capacity for e in instance.edges)
 
 
 def fractional_capacity(instance, x):
     """Capacity scaled by a fractional selection: weight u(e) * x_e."""
     if len(x) != instance.m:
         raise ValueError("x must assign a value to every edge")
-    return EdgeWeighting(
-        tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
-    )
+    return tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
 
 
 def subset_weighting(instance, edge_subset):
@@ -167,9 +155,7 @@ def subset_weighting(instance, edge_subset):
     for e in chosen:
         if not 0 <= e < instance.m:
             raise ValueError(f"edge index {e} out of range")
-    return EdgeWeighting(
-        tuple(e.capacity if i in chosen else 0 for i, e in enumerate(instance.edges))
-    )
+    return tuple(e.capacity if i in chosen else 0 for i, e in enumerate(instance.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +434,7 @@ def _decompose(instance, arcs, orig, source, sink, value, n):
                     parent[v] = (u, slot)
                     queue.append(v)
         if sink not in parent:
-            raise AssertionError("flow decomposition lost value")
+            raise InvariantError("flow decomposition lost value")
         hop, chain = sink, []
         while parent[hop] is not None:
             u, slot = parent[hop]
@@ -482,7 +468,7 @@ def global_min_cut(instance, weighting):
             best = (res.value, res.source_side)
     side = frozenset(range(instance.n)) - best[1]  # canonical: excludes vertex 0
     cut = cut_from_side(instance, weighting, side)
-    assert cut.capacity == best[0]
+    invariant(cut.capacity == best[0], "min cut side disagrees with the max flow value")
     return cut
 
 

@@ -31,19 +31,20 @@ An edge counts as nearly integral when x_e >= 1 / (40 lg n) for the
 uniform variant, 1 / (40 k lg n) for the k-way variant, and
 1 / (40 gamma lg n) for the near-uniform variant (lg is the fixed-point
 base-2 log from util, so thresholds are rational and reproducible).
+variant_for derives that scale, its threshold and the small-cut bound
+from the instance once, as one VariantRecord.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InfeasibleError, IterationLimitError
+from .errors import InfeasibleError, IterationLimitError, invariant
 from .graphs import (
     KWay,
     KWayCut,
-    Pairs,
     Uniform,
     check_feasible,
     cut_family,
@@ -58,63 +59,55 @@ SEPARATION_BATCH = 40
 
 
 # ---------------------------------------------------------------------------
-# variants
+# the variant
 
 @dataclass(frozen=True)
-class UniformVariant:
-    R: int
+class VariantRecord:
+    """What the requirement shape decides for the LP and its rounding.
 
+    `kind` is the CLI algorithm name.  Rounding keeps a highly fractional
+    edge with probability scale * x, and `threshold` = 1 / scale marks
+    the nearly-integral edges.  A row is small, and so tested for
+    violated cover rows, when its capacity under uhat is at most
+    `small_bound`, or at most twice its demand when `small_bound` is
+    None.  `doc` is the certificate's "variant" entry.
+    """
 
-@dataclass(frozen=True)
-class KWayVariant:
-    Rs: tuple
+    kind: str
+    scale: Fraction
+    small_bound: object
+    doc: dict = field(hash=False)  # a dict; the other fields hash the record
 
     @property
-    def k(self):
-        return len(self.Rs) + 1
+    def threshold(self):
+        return 1 / self.scale
 
-
-@dataclass(frozen=True)
-class NearUniformVariant:
-    gamma: Fraction
-    base: int  # smallest pair demand; every demand lies in [base, gamma*base]
+    def small(self, capacity, need):
+        return capacity <= (2 * need if self.small_bound is None else self.small_bound)
 
 
 def variant_for(instance, gamma=None):
-    """Derive the solver variant from the instance requirements."""
+    """The variant of `instance`: scale 40 lg n (uniform), 40 k lg n
+    (k-way) or 40 gamma lg n (near-uniform pairs), where `gamma` bounds
+    the demand spread and defaults to it."""
     req = instance.requirements
+    scale = 40 * log2_fixed(instance.n)
     if isinstance(req, Uniform):
-        return UniformVariant(req.R)
+        return VariantRecord("uniform", scale, None, {"kind": "uniform", "R": req.R})
     if isinstance(req, KWay):
-        return KWayVariant(tuple(req.Rs))
+        k = len(req.Rs) + 1
+        return VariantRecord("kway", k * scale, None, {"kind": "kway", "Rs": list(req.Rs)})
     demands = [r for (_, _, r) in req.pairs if r > 0]
     if not demands:
-        return NearUniformVariant(Fraction(1), 0)
-    base = min(demands)
-    spread = Fraction(max(demands), base)
-    if gamma is None:
-        gamma = spread
+        gamma, base = Fraction(1), 0
     else:
-        gamma = Fraction(gamma)
+        base = min(demands)
+        spread = Fraction(max(demands), base)
+        gamma = spread if gamma is None else Fraction(gamma)
         if gamma < spread:
             raise ValueError(f"gamma {gamma} below the demand spread {spread}")
-    return NearUniformVariant(gamma, base)
-
-
-def scale_factor(variant, n):
-    """Sampling scale: highly fractional edges are kept with prob scale * x."""
-    lg = log2_fixed(n)
-    if isinstance(variant, UniformVariant):
-        return 40 * lg
-    if isinstance(variant, KWayVariant):
-        return 40 * variant.k * lg
-    if isinstance(variant, NearUniformVariant):
-        return 40 * variant.gamma * lg
-    raise TypeError(f"unknown variant {type(variant).__name__}")
-
-
-def nearly_integral_threshold(variant, n):
-    return 1 / scale_factor(variant, n)
+    doc = {"kind": "near-uniform", "gamma": format_rational(gamma), "base": base}
+    return VariantRecord("near-uniform", gamma * scale, 2 * gamma * base, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +125,11 @@ class FractionalSolution:
             raise ValueError("x must assign a value to every edge")
         if any(v < 0 or v > 1 for v in xs):
             raise ValueError("x entries must lie in [0, 1]")
+        threshold = Fraction(self.threshold)
+        if threshold <= 0:
+            raise ValueError("the nearly-integral threshold must be positive")
         object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "threshold", threshold)
 
     def cost(self):
         return sum(
@@ -294,12 +291,10 @@ def _candidate_edge_sets(crossing, x, threshold):
 
 
 def _small_rows(family, capacities, variant):
-    """Rows worth testing cover inequalities on: a positive demand and
-    capacity under uhat at most twice it (twice gamma * base for the
-    near-uniform variant)."""
-    near = isinstance(variant, NearUniformVariant)
+    """Rows worth testing cover inequalities on: a positive demand and a
+    small capacity under uhat (VariantRecord.small)."""
     for i, (cap, need) in enumerate(zip(capacities, family.requirement)):
-        if need and cap <= (2 * variant.gamma * variant.base if near else 2 * need):
+        if need and variant.small(cap, need):
             yield i
 
 
@@ -322,8 +317,9 @@ def _violated_cover(family, i, edge_set, x, uhat):
     return KCConstraint(family.cut(i, uhat), edge_set, need, rhs, coeffs)
 
 
-def _violated_kc(family, capacities, variant, x, uhat, threshold, pool):
+def _violated_kc(family, capacities, variant, x, uhat, pool):
     out = []
+    threshold = variant.threshold
     for i in _small_rows(family, capacities, variant):
         for cand in _candidate_edge_sets(family.crossing[i], x, threshold):
             con = _violated_cover(family, i, cand, x, uhat)
@@ -337,9 +333,7 @@ def _violated_kc(family, capacities, variant, x, uhat, threshold, pool):
 
 @dataclass(frozen=True)
 class GoodCertificate:
-    variant: object
-    threshold: Fraction
-    scale: Fraction
+    variant: VariantRecord
     rounds: int
     cost: Fraction
     x: tuple
@@ -351,7 +345,7 @@ class GoodCertificate:
         return json.dumps(
             {
                 "schema": "capnet.good-solution.v1",
-                "variant": _variant_dict(self.variant),
+                "variant": self.variant.doc,
                 "threshold": format_rational(self.threshold),
                 "scale": format_rational(self.scale),
                 "rounds": self.rounds,
@@ -367,17 +361,13 @@ class GoodCertificate:
             separators=(",", ":"),
         )
 
+    @property
+    def threshold(self):
+        return self.variant.threshold
 
-def _variant_dict(variant):
-    if isinstance(variant, UniformVariant):
-        return {"kind": "uniform", "R": variant.R}
-    if isinstance(variant, KWayVariant):
-        return {"kind": "kway", "Rs": list(variant.Rs)}
-    return {
-        "kind": "near-uniform",
-        "gamma": format_rational(variant.gamma),
-        "base": variant.base,
-    }
+    @property
+    def scale(self):
+        return self.variant.scale
 
 
 _DEVIATIONS = (
@@ -392,70 +382,42 @@ _NEAR_UNIFORM_DEVIATION = (
 )
 
 
-def _check_variant(instance, variant):
-    req = instance.requirements
-    ok = (
-        (isinstance(variant, UniformVariant) and isinstance(req, Uniform))
-        or (isinstance(variant, KWayVariant) and isinstance(req, KWay))
-        or (isinstance(variant, NearUniformVariant) and isinstance(req, Pairs))
-    )
-    if not ok:
-        raise ValueError(
-            f"variant {type(variant).__name__} does not match requirements {type(req).__name__}"
-        )
-    if isinstance(variant, KWayVariant) and tuple(variant.Rs) != tuple(req.Rs):
-        raise ValueError("variant bounds differ from the instance requirements")
-    if isinstance(variant, UniformVariant) and variant.R != req.R:
-        raise ValueError("variant R differs from the instance requirement")
-
-
-def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_cap=None):
+def solve_good(instance, gamma=None, seed=0, kc=True):
     """Cut LP solve with knapsack-cover separation.
 
-    Returns (FractionalSolution, GoodCertificate).  With kc=False the loop
-    separates only the plain (unclamped) cut constraints, which yields the
-    standard relaxation optimum.  Deterministic given (instance, variant,
-    kc): no step draws random numbers, so `seed` does not change the
-    result.  Raises InfeasibleError when even the full edge set cannot
-    meet the requirements, IterationLimitError if the round cap trips,
-    and CapabilityError past the cut family's caps (n <= 16, and n <= 10
-    for k-way requirements).
+    Returns (FractionalSolution, GoodCertificate).  The variant comes
+    from variant_for(instance, gamma).  With kc=False the loop separates
+    only the plain (unclamped) cut constraints, which yields the standard
+    relaxation optimum.  Deterministic given (instance, gamma, kc): no
+    step draws random numbers, so `seed` does not change the result.
+    Raises InfeasibleError when even the full edge set cannot meet the
+    requirements, IterationLimitError if the round cap trips, and
+    CapabilityError past the cut family's caps (n <= 16, and n <= 10 for
+    k-way requirements).
     """
     if instance.directed:
         raise ValueError("solve_good works on undirected instances")
     if instance.n < 2:
         raise ValueError("need at least two vertices")
-    if variant is None:
-        variant = variant_for(instance, gamma)
-    _check_variant(instance, variant)
+    variant = variant_for(instance, gamma)
     family = cut_family(instance)
-
-    threshold = nearly_integral_threshold(variant, instance.n)
-    scale = scale_factor(variant, instance.n)
     deviations = list(_DEVIATIONS)
-    if isinstance(variant, NearUniformVariant):
+    if variant.kind == "near-uniform":
         deviations.append(_NEAR_UNIFORM_DEVIATION)
 
     full = check_feasible(instance, range(instance.m))
     if not full.feasible:
         raise InfeasibleError("requirements exceed the full edge set", full.witness)
 
-    trivial = (
-        (isinstance(variant, UniformVariant) and variant.R == 0)
-        or (isinstance(variant, NearUniformVariant)
-            and all(r == 0 for (_, _, r) in instance.requirements.pairs))
-    )
-    if trivial:
+    if not any(family.requirement):  # k-way bounds are >= 1, so never k-way
         x = tuple(Fraction(0) for _ in range(instance.m))
-        sol = FractionalSolution(instance, x, threshold)
-        cert = GoodCertificate(
-            variant, threshold, scale, 0, Fraction(0), x, (), (), tuple(deviations)
-        )
+        sol = FractionalSolution(instance, x, variant.threshold)
+        cert = GoodCertificate(variant, 0, Fraction(0), x, (), (), tuple(deviations))
         return sol, cert
 
     costs = [e.cost for e in instance.edges]
     pool = ConstraintPool()
-    cap = iteration_cap if iteration_cap is not None else 50 * max(1, instance.m) * instance.n
+    cap = 50 * max(1, instance.m) * instance.n
     rounds = 0
     x = [Fraction(0)] * instance.m
     while rounds < cap:
@@ -468,14 +430,13 @@ def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_ca
         capacities = family.capacities(uhat)
         violated = _violated_requirement_cuts(family, capacities, uhat, clamp=kc)
         if not violated and kc:
-            violated = _violated_kc(family, capacities, variant, x, uhat, threshold, pool)
+            violated = _violated_kc(family, capacities, variant, x, uhat, pool)
         if not violated:
-            sol = FractionalSolution(instance, tuple(x), threshold)
+            sol = FractionalSolution(instance, tuple(x), variant.threshold)
             slacks = tuple(c.evaluate(sol.x) for c in pool)
-            assert all(s >= 0 for s in slacks)
+            invariant(all(s >= 0 for s in slacks), "a certificate row has negative slack")
             cert = GoodCertificate(
-                variant, threshold, scale, rounds, sol.cost(), sol.x,
-                tuple(pool), slacks, tuple(deviations),
+                variant, rounds, sol.cost(), sol.x, tuple(pool), slacks, tuple(deviations)
             )
             return sol, cert
         violated.sort(key=lambda c: (c.evaluate(x), c.sort_key()))
@@ -485,18 +446,18 @@ def solve_good(instance, variant=None, gamma=None, seed=0, kc=True, iteration_ca
                 added += 1
                 if added >= SEPARATION_BATCH:
                     break
-        assert added, "separation reported violations but none were new"
+        invariant(added, "separation reported violations but none were new")
     raise IterationLimitError("cutting-plane loop exceeded its round cap", pool)
 
 
-def verify_good(instance, solution, variant=None):
-    """Re-derive the exit conditions for a claimed good solution.
+def verify_good(instance, solution, gamma=None):
+    """Re-derive the exit conditions for a claimed good solution under
+    variant_for(instance, gamma).
 
     Returns a list of violation descriptions; empty means the solution
     passes the two checks the rounding step depends on.
     """
-    if variant is None:
-        variant = variant_for(instance)
+    variant = variant_for(instance, gamma)
     x = solution.x if isinstance(solution, FractionalSolution) else tuple(
         Fraction(v) for v in solution
     )
@@ -507,8 +468,7 @@ def verify_good(instance, solution, variant=None):
         ("requirement", con.describe())
         for con in _violated_requirement_cuts(family, capacities, uhat, clamp=True)
     ]
-    threshold = nearly_integral_threshold(variant, instance.n)
-    frozen = tuple(i for i, v in enumerate(x) if v >= threshold)
+    frozen = tuple(i for i, v in enumerate(x) if v >= variant.threshold)
     for i in _small_rows(family, capacities, variant):
         con = _violated_cover(family, i, frozen, x, uhat)
         if con is not None:

@@ -13,7 +13,7 @@ is connected to the pair, where class(i) = floor(log2 ell_i) and
 class(X) is the largest class of a pair registered in X.  The extra
 connections are what later pairs exploit; their cost is charged to
 component leaders so that the realized cost never exceeds 9 * sum ell_i
-(asserted at runtime on every run).
+(checked on every run; a failure raises InvariantError).
 
 Charging bookkeeping, per merge: connecting across distance d with
 h = floor(log2 d) charges the path to X's h-leader when one is set,
@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .errors import InfeasibleError
-from .graphs import EdgeWeighting, max_flow
+from .errors import InfeasibleError, invariant
+from .graphs import max_flow
 from .util import ceil_div, floor_log2, format_rational, pow2
 
 _INF = float("inf")
@@ -278,8 +278,8 @@ def run(instance):
 
     Deterministic.  Raises InfeasibleError if some pair's endpoints are
     not connected in the underlying graph.  The 9 * sum(ell) cost bound
-    is asserted before returning, as is per-pair feasibility of the
-    bought copies.
+    and per-pair feasibility of the bought copies are checked before
+    returning (InvariantError).
     """
     if instance.directed:
         raise ValueError("the forest algorithm works on undirected instances")
@@ -375,14 +375,12 @@ def run(instance):
     cost = sum(
         (instance.edges[e].cost * c for e, c in enumerate(copies)), Fraction(0)
     )
-    assert cost <= 9 * ell_total, "charging bound failed; this is a bug"
-    capacity = EdgeWeighting(
-        tuple(copies[e] * instance.edges[e].capacity for e in range(instance.m))
-    )
+    invariant(cost <= 9 * ell_total, "charging bound failed; this is a bug")
+    capacity = tuple(copies[e] * instance.edges[e].capacity for e in range(instance.m))
     for j in order:
         s, t, demand = pairs[j]
         flow = max_flow(instance, capacity, s, t, cutoff=demand)
-        assert flow.value >= demand, f"pair {j} left infeasible; this is a bug"
+        invariant(flow.value >= demand, f"pair {j} left infeasible; this is a bug")
 
     return MultiCopySolution(
         instance, tuple(order), tuple(copies), tuple(sorted(forest)),

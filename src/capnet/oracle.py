@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import CapabilityError, InfeasibleError, InstanceFormatError
+from .errors import CapabilityError, InfeasibleError, InstanceFormatError, invariant
 from .graphs import (
     EXHAUSTIVE_LIMIT,
     CutFamily,
@@ -36,7 +36,7 @@ from .graphs import (
     max_flow,
     subset_weighting,
 )
-from .kclp import NearUniformVariant, FractionalSolution, nearly_integral_threshold
+from .kclp import FractionalSolution, variant_for
 from .multicopy import baseline_independent_pairs
 from .util import ceil_div
 
@@ -327,11 +327,7 @@ def gen_single_pair_gap(R):
     edges += [(2 + i, 1, R, Fraction(R)) for i in range(R)]
     instance = Instance(R + 2, tuple(edges), Pairs(((0, 1, R),)))
     x = tuple([Fraction(1)] * R + [Fraction(2, R)] * R)
-    variant = NearUniformVariant(Fraction(1), R)
-    reference = FractionalSolution(
-        instance, x, nearly_integral_threshold(variant, instance.n)
-    )
-    return instance, reference
+    return instance, FractionalSolution(instance, x, variant_for(instance).threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def gen_label_cover_reduction(lc):
         lc.a_count + lc.b_count + lc.labels_a + lc.labels_b
         + lc.m + sum(len(p) for _, _, p in lc.relations)
     )
-    assert instance.n + instance.m <= (size + 2) ** 2, "reduction exceeded quadratic size"
+    invariant(instance.n + instance.m <= (size + 2) ** 2, "reduction exceeded quadratic size")
     return instance
 
 

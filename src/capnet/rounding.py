@@ -2,10 +2,10 @@
 
 Edges at or above the nearly-integral threshold are always bought; each
 remaining edge e is bought independently with probability
-min(1, scale * x_e), where scale is the inverse of the threshold (40 lg n,
-40 k lg n, or 40 gamma lg n by variant).  A draw either meets every
-requirement or is retried with a fresh derived seed, up to a fixed
-attempt budget.
+min(1, scale * x_e), where scale = 1 / threshold is read off the
+solution itself (40 lg n, 40 k lg n, or 40 gamma lg n by variant, as
+solve_good certified it).  A draw either meets every requirement or is
+retried with a fresh derived seed, up to MAX_ATTEMPTS draws.
 
 Draws compare an exact 53-bit dyadic rational against the (rational)
 probability, so a run is reproducible from its seed on any platform.
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError
 from .graphs import check_feasible
-from .kclp import FractionalSolution, scale_factor, variant_for
+from .kclp import FractionalSolution
 from .util import derive_seed
 
 MAX_ATTEMPTS = 100
@@ -83,22 +83,21 @@ def sample_edges(solution, scale, seed):
     return tuple(chosen)
 
 
-def round_solution(solution, variant=None, seed=0, max_attempts=MAX_ATTEMPTS):
+def round_solution(solution, seed=0):
     """Round a good fractional solution to an integral edge set.
 
-    Retries with derived seeds until a draw satisfies the instance
-    requirements.  Raises InfeasibleError after max_attempts misses; for
-    a good solution the per-attempt success probability is constant, so
-    the budget is generous.
+    Samples at scale 1 / solution.threshold and retries with derived
+    seeds until a draw satisfies the instance requirements.  Raises
+    InfeasibleError after MAX_ATTEMPTS misses; for a good solution the
+    per-attempt success probability is constant, so the budget is
+    generous.
     """
     if not isinstance(solution, FractionalSolution):
         raise TypeError("round_solution expects a FractionalSolution")
     instance = solution.instance
-    if variant is None:
-        variant = variant_for(instance)
-    scale = scale_factor(variant, instance.n)
+    scale = 1 / solution.threshold
     attempts = []
-    for t in range(max_attempts):
+    for t in range(MAX_ATTEMPTS):
         attempt_seed = derive_seed(seed, t)
         edges = sample_edges(solution, scale, attempt_seed)
         result = check_feasible(instance, edges)
@@ -109,5 +108,5 @@ def round_solution(solution, variant=None, seed=0, max_attempts=MAX_ATTEMPTS):
         if result.feasible:
             return RoundingReport(edges, cost, tuple(attempts), scale)
     raise InfeasibleError(
-        f"no feasible draw in {max_attempts} attempts", tuple(attempts)
+        f"no feasible draw in {MAX_ATTEMPTS} attempts", tuple(attempts)
     )

@@ -17,7 +17,6 @@ from capnet.graphs import capacity_weighting, cut_from_side
 from capnet.kclp import (
     check_kc,
     cut_requirement,
-    scale_factor,
     solve_good,
     variant_for,
     verify_good,
@@ -166,7 +165,7 @@ def test_criterion_4_good_solution_contract(uniform_suite):
 def test_criterion_5_rounding(uniform_suite):
     runs = first_failures = mean_violations = worst_attempts = 0
     for i, (inst, solution, _) in enumerate(uniform_suite):
-        scale = scale_factor(variant_for(inst), inst.n)
+        scale = variant_for(inst).scale
         bound = expected_cost_bound(solution, scale)
         total = Fraction(0)
         for s in range(200):

@@ -14,7 +14,7 @@ import pytest
 
 import capnet
 from capnet.cli import CSV_COLUMNS, CSV_SCHEMA, main
-from capnet.graphs import Instance, Uniform, parse_instance, serialize_instance
+from capnet.graphs import FlowResult, Instance, Uniform, parse_instance, serialize_instance
 from capnet.oracle import gen_random
 
 
@@ -218,6 +218,54 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     )
     assert main(["verify"]) == 3
     assert capsys.readouterr().out.startswith("FAIL doomed")
+
+
+def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    inst = gen_random("pairs", n=5, m=8, seed=2, pairs=2, demand_cap=4)
+    path = _write_instance(tmp_path, inst)
+    # A max flow that always reports zero breaks the per-pair check.
+    monkeypatch.setattr("capnet.multicopy.max_flow",
+                        lambda *args, **kw: FlowResult(0, True, frozenset(), None))
+    assert main(["solve", path, "--alg", "multicopy"]) == 3
+    assert _stderr_error(capsys)["error"] == "InvariantError"
+
+
+UNDER_O = """
+import sys
+import capnet.kclp, capnet.multicopy
+from capnet import InvariantError, gen_random, round_solution, run_multicopy, solve_good
+from capnet.graphs import FlowResult
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+sol, _ = solve_good(gen_random("uniform", 6, 10, 8), seed=8)
+round_solution(sol, seed=8)
+pairs = gen_random("pairs", 5, 8, 2, pairs=2, demand_cap=4)
+run_multicopy(pairs)
+capnet.multicopy.max_flow = lambda *args, **kw: FlowResult(0, True, frozenset(), None)
+capnet.kclp.ConstraintPool.add = lambda self, con: False
+for call in (lambda: run_multicopy(pairs), lambda: solve_good(gen_random("uniform", 6, 10, 8))):
+    try:
+        call()
+    except InvariantError as exc:
+        print("tripped:", exc)
+"""
+
+
+def test_invariants_survive_python_O():
+    src = Path(capnet.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", UNDER_O],
+                         capture_output=True, text=True, timeout=300, env=env)
+    assert run.returncode == 0, run.stderr
+    flow, stall = run.stdout.splitlines()
+    assert flow.startswith("tripped: pair ") and flow.endswith(" left infeasible; this is a bug")
+    assert stall == "tripped: separation reported violations but none were new"
+    verify = subprocess.run([sys.executable, "-O", "-m", "capnet", "verify"],
+                            capture_output=True, text=True, timeout=300, env=env)
+    assert verify.returncode == 0, verify.stderr
+    lines = verify.stdout.splitlines()
+    assert len(lines) == 11 and all(l.startswith("ok  ") for l in lines)
 
 
 def test_exact_subset_and_copy_documents(tmp_path, capsys):

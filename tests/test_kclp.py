@@ -20,15 +20,10 @@ from capnet.graphs import (
 )
 from capnet.kclp import (
     FractionalSolution,
-    KWayVariant,
-    NearUniformVariant,
-    UniformVariant,
     build_kc,
     check_kc,
     cut_requirement,
-    nearly_integral_threshold,
     residual_requirement,
-    scale_factor,
     solve_good,
     variant_for,
     verify_good,
@@ -47,17 +42,25 @@ from conftest import brute_feasible
 # ---------------------------------------------------------------------------
 # variants and thresholds
 
+PATH4 = ((0, 1, 2, 1), (1, 2, 2, 1), (2, 3, 2, 1))
+
+
 def test_variant_inference():
     uni = gen_triangle_gap(5, 3)
-    assert variant_for(uni) == UniformVariant(5)
-    kway = Instance(4, ((0, 1, 2, 1), (1, 2, 2, 1), (2, 3, 2, 1)), KWay((1, 2)))
-    assert variant_for(kway) == KWayVariant((1, 2))
-    assert variant_for(kway).k == 3
+    v = variant_for(uni)
+    assert (v.kind, v.small_bound, v.doc) == ("uniform", None, {"kind": "uniform", "R": 5})
+    kway = Instance(4, PATH4, KWay((1, 2)))
+    v = variant_for(kway)
+    assert (v.kind, v.small_bound, v.doc) == ("kway", None, {"kind": "kway", "Rs": [1, 2]})
+    assert v.small(4, 2) and not v.small(5, 2)  # twice the row's demand
     pairs = Instance(3, ((0, 1, 2, 1), (1, 2, 2, 1)), Pairs(((0, 1, 2), (0, 2, 3))))
     v = variant_for(pairs)
-    assert v == NearUniformVariant(Fraction(3, 2), 2)
+    assert v.kind == "near-uniform"
+    assert v.doc == {"kind": "near-uniform", "gamma": "3/2", "base": 2}
+    assert v.small_bound == 6  # 2 * gamma * base, whatever the row's demand
+    assert v.small(6, 2) and not v.small(7, 3)
     wide = variant_for(pairs, gamma=4)
-    assert wide.gamma == 4
+    assert wide.doc["gamma"] == "4" and wide.small_bound == 16
     with pytest.raises(ValueError):
         variant_for(pairs, gamma=Fraction(5, 4))  # below the actual spread
 
@@ -65,13 +68,16 @@ def test_variant_inference():
 def test_scale_factor_and_threshold_values():
     lg4 = log2_fixed(4)
     assert lg4 == 2
-    assert scale_factor(UniformVariant(3), 4) == 80
-    assert nearly_integral_threshold(UniformVariant(3), 4) == Fraction(1, 80)
-    assert scale_factor(KWayVariant((1, 2)), 4) == 240  # 40 * k * lg, k = 3
-    assert scale_factor(NearUniformVariant(Fraction(3, 2), 2), 4) == 120
+    uni = variant_for(Instance(4, PATH4, Uniform(3)))
+    assert uni.scale == 80
+    assert uni.threshold == Fraction(1, 80)
+    assert variant_for(Instance(4, PATH4, KWay((1, 2)))).scale == 240  # 40 * k * lg, k = 3
+    pairs = Instance(4, PATH4, Pairs(((0, 3, 2), (1, 2, 3))))  # gamma 3/2, base 2
+    assert variant_for(pairs).scale == 120
     # Non-powers of two give the truncated fixed-point log.
     lg5 = log2_fixed(5)
-    assert scale_factor(UniformVariant(1), 5) == 40 * lg5
+    five = Instance(5, PATH4 + ((3, 4, 2, 1),), Uniform(1))
+    assert variant_for(five).scale == 40 * lg5
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def test_cover_violation_at_the_frozen_set_detected():
     inst = Instance(
         2, ((0, 1, 100, 1), (0, 1, 4, 1)), Pairs(((0, 1, 5),))
     )
-    threshold = nearly_integral_threshold(variant_for(inst), inst.n)
+    threshold = variant_for(inst).threshold
     assert Fraction(1, 50) < threshold
     sol = FractionalSolution(inst, (Fraction(1, 50), Fraction(1)), threshold)
     problems = verify_good(inst, sol)
@@ -283,11 +289,6 @@ def test_capability_guards():
 
 
 def test_variant_mismatch_rejected():
-    inst = gen_triangle_gap(5, 10)
-    with pytest.raises(ValueError):
-        solve_good(inst, variant=UniformVariant(4), seed=0)
-    with pytest.raises(ValueError):
-        solve_good(inst, variant=NearUniformVariant(Fraction(1), 5), seed=0)
     with pytest.raises(ValueError):
         solve_good(Instance(2, ((0, 1, 1, 1),), Pairs(((0, 1, 1),)), directed=True), seed=0)
 
@@ -311,6 +312,8 @@ def test_fractional_solution_validation():
         FractionalSolution(inst, (Fraction(1), Fraction(1)), Fraction(1, 80))
     with pytest.raises(ValueError):
         FractionalSolution(inst, (Fraction(2), Fraction(0), Fraction(0)), Fraction(1, 80))
+    with pytest.raises(ValueError):
+        FractionalSolution(inst, (Fraction(1), Fraction(0), Fraction(0)), Fraction(0))
     sol = FractionalSolution(inst, ("1", "1/2", "0"), Fraction(1, 80))
     assert sol.x == (Fraction(1), Fraction(1, 2), Fraction(0))
     assert sol.nearly_integral() == (0, 1)

@@ -6,13 +6,7 @@ import pytest
 
 from capnet.errors import InfeasibleError
 from capnet.graphs import Instance, Pairs, check_feasible
-from capnet.kclp import (
-    FractionalSolution,
-    nearly_integral_threshold,
-    scale_factor,
-    solve_good,
-    variant_for,
-)
+from capnet.kclp import FractionalSolution, solve_good, variant_for
 from capnet.oracle import gen_random, gen_triangle_gap
 from capnet.rounding import (
     MAX_ATTEMPTS,
@@ -27,14 +21,13 @@ from capnet.util import derive_seed
 def _tiny_solution():
     inst = gen_triangle_gap(10, 100)
     variant = variant_for(inst)
-    threshold = nearly_integral_threshold(variant, inst.n)
     x = (Fraction(1), Fraction(1, 200), Fraction(0))
-    return inst, variant, FractionalSolution(inst, x, threshold)
+    return inst, variant, FractionalSolution(inst, x, variant.threshold)
 
 
 def test_keep_probabilities_freeze_and_scale():
     inst, variant, sol = _tiny_solution()
-    scale = scale_factor(variant, inst.n)
+    scale = variant.scale
     probs = keep_probabilities(sol, scale)
     assert probs[0] == 1                      # at threshold or above: bought
     assert probs[1] == scale * Fraction(1, 200)
@@ -48,7 +41,7 @@ def test_keep_probabilities_freeze_and_scale():
 
 def test_expected_cost_bound_is_the_probability_weighted_cost():
     inst, variant, sol = _tiny_solution()
-    scale = scale_factor(variant, inst.n)
+    scale = variant.scale
     probs = keep_probabilities(sol, scale)
     assert expected_cost_bound(sol, scale) == sum(
         (e.cost * p for e, p in zip(inst.edges, probs)), Fraction(0)
@@ -57,7 +50,7 @@ def test_expected_cost_bound_is_the_probability_weighted_cost():
 
 def test_sample_edges_deterministic_and_frozen_edges_always_kept():
     inst, variant, sol = _tiny_solution()
-    scale = scale_factor(variant, inst.n)
+    scale = variant.scale
     draws = {sample_edges(sol, scale, seed) for seed in range(30)}
     assert all(0 in chosen for chosen in draws)       # frozen edge
     assert all(2 not in chosen for chosen in draws)   # probability zero
@@ -85,12 +78,22 @@ def test_round_solution_gives_up_after_budget():
     # Demand needs the second parallel edge, but its x sits at zero, so
     # every draw misses it.
     inst = Instance(2, ((0, 1, 3, 1), (0, 1, 3, 1)), Pairs(((0, 1, 6),)))
-    threshold = nearly_integral_threshold(variant_for(inst), inst.n)
+    threshold = variant_for(inst).threshold
     sol = FractionalSolution(inst, (Fraction(1), Fraction(0)), threshold)
     with pytest.raises(InfeasibleError) as err:
-        round_solution(sol, seed=0, max_attempts=5)
-    assert len(err.value.witness) == 5
+        round_solution(sol, seed=0)
+    assert len(err.value.witness) == MAX_ATTEMPTS
     assert all(not a.feasible for a in err.value.witness)
+
+
+def test_round_solution_samples_at_the_certified_scale():
+    # gamma = 4 widens the pairs variant past the demand spread: rounding
+    # must sample at the scale solve_good certified, 1 / threshold.
+    inst = gen_random("pairs", 8, 14, 5, pairs=3)
+    sol, cert = solve_good(inst, gamma=4)
+    assert cert.scale == 40 * 4 * 3  # 40 gamma lg 8
+    report = round_solution(sol, seed=3)
+    assert report.scale == cert.scale == 1 / sol.threshold
 
 
 def test_round_solution_type_guard():
@@ -103,14 +106,13 @@ def test_mean_cost_tracks_the_expected_bound():
     # seeds stays within 5 percent of the expectation.  Seeds are fixed,
     # so this cannot flake.
     inst = gen_random("uniform", n=7, m=12, seed=21)
-    variant = variant_for(inst)
     sol, _ = solve_good(inst, seed=21)
-    scale = scale_factor(variant, inst.n)
+    scale = variant_for(inst).scale
     bound = expected_cost_bound(sol, scale)
     total = Fraction(0)
     runs = 200
     for s in range(runs):
-        report = round_solution(sol, variant, seed=derive_seed(21, f"mean/{s}"))
+        report = round_solution(sol, seed=derive_seed(21, f"mean/{s}"))
         total += report.cost
     mean = total / runs
     assert mean <= bound * Fraction(21, 20)
