@@ -97,6 +97,8 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
     if alg == "multicopy":
         if not isinstance(instance.requirements, Pairs):
             raise ValueError("the multicopy algorithm needs pair requirements")
+        if gamma is not None:
+            raise ValueError("--gamma applies to the near-uniform LP, not to multicopy")
         solution = run_multicopy(instance)
         row["alg_cost"] = format_rational(solution.cost)
         trace = json.loads(solution.to_json())

@@ -39,7 +39,8 @@ def invariant(holds, message):
 
 
 class IterationLimitError(RuntimeError):
-    """Cutting-plane loop hit its round cap.  Carries the constraint pool."""
+    """Cutting-plane loop hit its round cap.  `pool` holds the rows
+    added so far, a tuple of KCConstraint in the order they were added."""
 
     def __init__(self, message, pool=None):
         self.pool = pool

@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, InstanceFormatError, InvariantError, invariant
+from .errors import CapabilityError, InstanceFormatError, invariant
 from .util import format_rational, iter_partitions
 
 
@@ -306,6 +306,13 @@ class CutFamily:
         sums = [sum(nums[e] for e in c) for c in self.crossing]
         return sums if den == 1 else [Fraction(s, den) for s in sums]
 
+    def sort_key(self, i):
+        """Row i's parts (partition rows) or side, as ascending vertex
+        tuples in the order its KWayCut or Cut lists them."""
+        shape = self.shapes[i]
+        blocks = range(max(shape) + 1) if self.kway else (1,)
+        return tuple(tuple(v for v, b in enumerate(shape) if b == k) for k in blocks)
+
     def cut(self, i, weighting):
         """Row i as a KWayCut (partition rows) or a Cut."""
         shape = self.shapes[i]
@@ -329,10 +336,9 @@ class FlowResult:
     value: object
     exact: bool            # False when the run stopped early at `cutoff`
     source_side: object    # residual-reachable vertices; min cut side iff exact
-    decomposition: object  # tuple of (path vertices, amount), or None
 
 
-def max_flow(instance, weighting, source, sink, cutoff=None, want_decomposition=False):
+def max_flow(instance, weighting, source, sink, cutoff=None):
     """Exact max flow from `source` to `sink` under `weighting`.
 
     Undirected edges may carry flow either way up to their weight.  With
@@ -362,7 +368,6 @@ def max_flow(instance, weighting, source, sink, cutoff=None, want_decomposition=
             add_arc(e.tail, e.head, w)
             add_arc(e.head, e.tail, w)
 
-    orig = [a[1] for a in arcs]
     value = 0
     while cutoff is None or value < cutoff:
         parent = [-1] * n
@@ -403,51 +408,7 @@ def max_flow(instance, weighting, source, sink, cutoff=None, want_decomposition=
                 reach.add(v)
                 queue.append(v)
     exact = sink not in reach
-
-    decomposition = None
-    if want_decomposition:
-        decomposition = _decompose(instance, arcs, orig, source, sink, value, n)
-    return FlowResult(value, exact, frozenset(reach), decomposition)
-
-
-def _decompose(instance, arcs, orig, source, sink, value, n):
-    # Net per-edge flow, oriented by sign, then strip source-sink paths.
-    out = [[] for _ in range(n)]  # vertex -> list of [to, amount, edge]
-    step = 2 if instance.directed else 4
-    for i, e in enumerate(instance.edges):
-        fwd = orig[step * i] - arcs[step * i][1]
-        bwd = 0 if instance.directed else orig[step * i + 2] - arcs[step * i + 2][1]
-        net = fwd - bwd
-        if net > 0:
-            out[e.tail].append([e.head, net, i])
-        elif net < 0:
-            out[e.head].append([e.tail, -net, i])
-    paths = []
-    remaining = value
-    while remaining > 0:
-        parent = {source: None}
-        queue = [source]
-        for u in queue:
-            for slot in out[u]:
-                v = slot[0]
-                if v not in parent and slot[1] > 0:
-                    parent[v] = (u, slot)
-                    queue.append(v)
-        if sink not in parent:
-            raise InvariantError("flow decomposition lost value")
-        hop, chain = sink, []
-        while parent[hop] is not None:
-            u, slot = parent[hop]
-            chain.append((u, slot))
-            hop = u
-        chain.reverse()
-        amount = min(slot[1] for _, slot in chain)
-        amount = min(amount, remaining)
-        for _, slot in chain:
-            slot[1] -= amount
-        paths.append((tuple([source] + [slot[0] for _, slot in chain]), amount))
-        remaining -= amount
-    return tuple(paths)
+    return FlowResult(value, exact, frozenset(reach))
 
 
 def global_min_cut(instance, weighting):

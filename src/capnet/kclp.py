@@ -17,8 +17,11 @@ constraint pool and alternates exact LP solves with separation rounds:
   2. look for violated knapsack-cover inequalities over the small cuts
      (capacity at most twice the requirement under uhat).
 
-Both steps filter one exhaustive cut family (graphs.CutFamily), built
-once per solve; each round computes its row capacities under uhat once.
+Both steps are one scan (_violations) over the rows of one exhaustive
+cut family (graphs.CutFamily), built once per solve; each round computes
+its row capacities under uhat once.  A violated row stays a family row
+index with its cover terms until it enters the pool, and only then is
+its Cut or KWayCut built.
 
 For step 2 each cut is tested against a nested family of candidate A
 sets, the prefixes of its crossing edges ordered by decreasing x, plus
@@ -45,6 +48,7 @@ from .errors import InfeasibleError, IterationLimitError, invariant
 from .graphs import (
     KWay,
     KWayCut,
+    Pairs,
     Uniform,
     check_feasible,
     cut_family,
@@ -89,8 +93,11 @@ class VariantRecord:
 def variant_for(instance, gamma=None):
     """The variant of `instance`: scale 40 lg n (uniform), 40 k lg n
     (k-way) or 40 gamma lg n (near-uniform pairs), where `gamma` bounds
-    the demand spread and defaults to it."""
+    the demand spread and defaults to it.  Raises ValueError for a
+    `gamma` given with requirements other than pairs."""
     req = instance.requirements
+    if gamma is not None and not isinstance(req, Pairs):
+        raise ValueError("gamma bounds the demand spread of pair requirements only")
     scale = 40 * log2_fixed(instance.n)
     if isinstance(req, Uniform):
         return VariantRecord("uniform", scale, None, {"kind": "uniform", "R": req.R})
@@ -195,18 +202,6 @@ class KCConstraint:
     rhs: int
     coefficients: tuple  # of (edge index, coefficient)
 
-    def key(self):
-        if isinstance(self.cut, KWayCut):
-            return (self.cut.parts, self.edge_set)
-        return (self.cut.side, self.edge_set)
-
-    def sort_key(self):
-        if isinstance(self.cut, KWayCut):
-            shape = tuple(tuple(sorted(p)) for p in self.cut.parts)
-        else:
-            shape = (tuple(sorted(self.cut.side)),)
-        return (shape, self.edge_set)
-
     def evaluate(self, x):
         lhs = sum((c * x[e] for e, c in self.coefficients), Fraction(0))
         return lhs - self.rhs  # slack; negative means violated
@@ -241,31 +236,6 @@ def check_kc(instance, x, cut, edge_set, requirement=None):
     return slack >= 0, slack
 
 
-class ConstraintPool:
-    """Grow-only pool of rows, deduplicated by (cut, edge set)."""
-
-    def __init__(self):
-        self.constraints = []
-        self._keys = set()
-
-    def add(self, con):
-        key = con.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.constraints.append(con)
-        return True
-
-    def __contains__(self, key):
-        return key in self._keys
-
-    def __len__(self):
-        return len(self.constraints)
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-
 # ---------------------------------------------------------------------------
 # separation
 
@@ -290,42 +260,42 @@ def _candidate_edge_sets(crossing, x, threshold):
     return cands
 
 
-def _small_rows(family, capacities, variant):
-    """Rows worth testing cover inequalities on: a positive demand and a
-    small capacity under uhat (VariantRecord.small)."""
-    for i, (cap, need) in enumerate(zip(capacities, family.requirement)):
-        if need and variant.small(cap, need):
-            yield i
+def _cover_row(family, i, edge_set, x, clamp=True):
+    """(slack, row, edge_set, rhs, coefficients) of the cover row of
+    family row i with `edge_set` (a sorted tuple) taken as bought; a
+    negative slack means x violates it."""
+    rhs, coeffs = _kc_terms(
+        family.instance, family.crossing[i], edge_set, family.requirement[i], clamp
+    )
+    return sum((c * x[e] for e, c in coeffs), Fraction(0)) - rhs, i, edge_set, rhs, coeffs
 
 
-def _violated_requirement_cuts(family, capacities, uhat, clamp):
-    """Condition 1 separation: cuts whose uhat capacity misses the demand."""
-    return [
-        build_kc(family.instance, family.cut(i, uhat), (), need, clamp)
-        for i, (cap, need) in enumerate(zip(capacities, family.requirement))
-        if cap < need
-    ]
+def _violations(family, capacities, variant, x, kc):
+    """The violated rows, as _cover_row tuples.
 
-
-def _violated_cover(family, i, edge_set, x, uhat):
-    """The cover row of family row i with `edge_set` (a sorted tuple)
-    taken as bought, when x violates it; None otherwise."""
-    need = family.requirement[i]
-    rhs, coeffs = _kc_terms(family.instance, family.crossing[i], edge_set, need)
-    if sum((c * x[e] for e, c in coeffs), Fraction(0)) >= rhs:
-        return None
-    return KCConstraint(family.cut(i, uhat), edge_set, need, rhs, coeffs)
-
-
-def _violated_kc(family, capacities, variant, x, uhat, pool):
+    First the rows whose capacity under uhat misses their demand, as
+    plain cut rows (clamped when `kc`).  When there are none and `kc` is
+    set, the violated cover rows of the small rows (VariantRecord.small)
+    over their _candidate_edge_sets.
+    """
+    rows = list(zip(capacities, family.requirement))
+    short = [_cover_row(family, i, (), x, kc) for i, (cap, need) in enumerate(rows) if cap < need]
+    if short or not kc:
+        return short
     out = []
-    threshold = variant.threshold
-    for i in _small_rows(family, capacities, variant):
-        for cand in _candidate_edge_sets(family.crossing[i], x, threshold):
-            con = _violated_cover(family, i, cand, x, uhat)
-            if con is not None and con.key() not in pool:
-                out.append(con)
+    for i, (cap, need) in enumerate(rows):
+        if need and variant.small(cap, need):
+            for cand in _candidate_edge_sets(family.crossing[i], x, variant.threshold):
+                v = _cover_row(family, i, cand, x)
+                if v[0] < 0:
+                    out.append(v)
     return out
+
+
+def _constraint(family, uhat, v):
+    """The KCConstraint of a _cover_row tuple, its cut measured under uhat."""
+    _, i, edge_set, rhs, coeffs = v
+    return KCConstraint(family.cut(i, uhat), edge_set, family.requirement[i], rhs, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -416,38 +386,39 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
         return sol, cert
 
     costs = [e.cost for e in instance.edges]
-    pool = ConstraintPool()
+    pool = {}      # (row, edge_set) -> KCConstraint, in the order added
+    lp_rows = []   # (dense coefficients, rhs) of each pool row
     cap = 50 * max(1, instance.m) * instance.n
     rounds = 0
     x = [Fraction(0)] * instance.m
     while rounds < cap:
         rounds += 1
-        if len(pool):
-            rows = [([dict(c.coefficients).get(e, 0) for e in range(instance.m)], c.rhs)
-                    for c in pool]
-            x, _ = solve_box_covering_lp(costs, rows)
+        if pool:
+            x, _ = solve_box_covering_lp(costs, lp_rows)
         uhat = fractional_capacity(instance, x)
-        capacities = family.capacities(uhat)
-        violated = _violated_requirement_cuts(family, capacities, uhat, clamp=kc)
-        if not violated and kc:
-            violated = _violated_kc(family, capacities, variant, x, uhat, pool)
-        if not violated:
+        found = _violations(family, family.capacities(uhat), variant, x, kc)
+        if not found:
             sol = FractionalSolution(instance, tuple(x), variant.threshold)
-            slacks = tuple(c.evaluate(sol.x) for c in pool)
+            constraints = tuple(pool.values())
+            slacks = tuple(c.evaluate(sol.x) for c in constraints)
             invariant(all(s >= 0 for s in slacks), "a certificate row has negative slack")
             cert = GoodCertificate(
-                variant, rounds, sol.cost(), sol.x, tuple(pool), slacks, tuple(deviations)
+                variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations)
             )
             return sol, cert
-        violated.sort(key=lambda c: (c.evaluate(x), c.sort_key()))
-        added = 0
-        for con in violated:
-            if pool.add(con):
-                added += 1
-                if added >= SEPARATION_BATCH:
-                    break
-        invariant(added, "separation reported violations but none were new")
-    raise IterationLimitError("cutting-plane loop exceeded its round cap", pool)
+        new = sorted(
+            (v for v in found if (v[1], v[2]) not in pool),
+            key=lambda v: (v[0], family.sort_key(v[1]), v[2]),
+        )
+        invariant(new, "separation reported violations but none were new")
+        for v in new[:SEPARATION_BATCH]:
+            _, i, edge_set, rhs, coeffs = v
+            pool[i, edge_set] = _constraint(family, uhat, v)
+            dense = [0] * instance.m
+            for e, c in coeffs:
+                dense[e] = c
+            lp_rows.append((dense, rhs))
+    raise IterationLimitError("cutting-plane loop exceeded its round cap", tuple(pool.values()))
 
 
 def verify_good(instance, solution, gamma=None):
@@ -463,16 +434,16 @@ def verify_good(instance, solution, gamma=None):
     )
     family = cut_family(instance)
     uhat = fractional_capacity(instance, x)
-    capacities = family.capacities(uhat)
-    problems = [
-        ("requirement", con.describe())
-        for con in _violated_requirement_cuts(family, capacities, uhat, clamp=True)
-    ]
     frozen = tuple(i for i, v in enumerate(x) if v >= variant.threshold)
-    for i in _small_rows(family, capacities, variant):
-        con = _violated_cover(family, i, frozen, x, uhat)
-        if con is not None:
-            problems.append(
-                ("knapsack-cover", dict(describe_cut(con.cut), slack=str(con.evaluate(x))))
-            )
-    return problems
+    short, covers = [], []
+    for i, (cap, need) in enumerate(zip(family.capacities(uhat), family.requirement)):
+        if cap < need:
+            con = _constraint(family, uhat, _cover_row(family, i, (), x))
+            short.append(("requirement", con.describe()))
+        if need and variant.small(cap, need):
+            slack = _cover_row(family, i, frozen, x)[0]
+            if slack < 0:
+                covers.append(
+                    ("knapsack-cover", dict(describe_cut(family.cut(i, uhat)), slack=str(slack)))
+                )
+    return short + covers

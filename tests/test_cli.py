@@ -145,6 +145,15 @@ def test_solve_bad_gamma(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "UsageError"
 
 
+def test_solve_refuses_gamma_without_meaning(tmp_path, capsys):
+    uniform = _write_instance(tmp_path, gen_random("uniform", n=5, m=7, seed=1), "uniform.json")
+    pairs = _write_instance(tmp_path, gen_random("pairs", n=5, m=7, seed=1), "pairs.json")
+    for argv in (["solve", uniform, "--seed", "3"], ["solve", pairs, "--alg", "multicopy"]):
+        assert main(argv + ["--gamma", "1/2"]) == 1
+        err = _stderr_error(capsys)
+        assert err["error"] == "ValueError" and "gamma" in err["message"]
+
+
 def test_solve_infeasible_instance(tmp_path, capsys):
     split = Instance(4, ((0, 1, 2, 1), (2, 3, 2, 1)), Uniform(1))
     path = _write_instance(tmp_path, split)
@@ -225,13 +234,14 @@ def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
     path = _write_instance(tmp_path, inst)
     # A max flow that always reports zero breaks the per-pair check.
     monkeypatch.setattr("capnet.multicopy.max_flow",
-                        lambda *args, **kw: FlowResult(0, True, frozenset(), None))
+                        lambda *args, **kw: FlowResult(0, True, frozenset()))
     assert main(["solve", path, "--alg", "multicopy"]) == 3
     assert _stderr_error(capsys)["error"] == "InvariantError"
 
 
 UNDER_O = """
 import sys
+from fractions import Fraction
 import capnet.kclp, capnet.multicopy
 from capnet import InvariantError, gen_random, round_solution, run_multicopy, solve_good
 from capnet.graphs import FlowResult
@@ -241,8 +251,9 @@ sol, _ = solve_good(gen_random("uniform", 6, 10, 8), seed=8)
 round_solution(sol, seed=8)
 pairs = gen_random("pairs", 5, 8, 2, pairs=2, demand_cap=4)
 run_multicopy(pairs)
-capnet.multicopy.max_flow = lambda *args, **kw: FlowResult(0, True, frozenset(), None)
-capnet.kclp.ConstraintPool.add = lambda self, con: False
+capnet.multicopy.max_flow = lambda *args, **kw: FlowResult(0, True, frozenset())
+# An LP that always answers x = 0 leaves round 1's rows violated, all in the pool.
+capnet.kclp.solve_box_covering_lp = lambda costs, rows: ([Fraction(0)] * len(costs), Fraction(0))
 for call in (lambda: run_multicopy(pairs), lambda: solve_good(gen_random("uniform", 6, 10, 8))):
     try:
         call()

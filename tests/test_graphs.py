@@ -8,6 +8,7 @@ import pytest
 from capnet.cutenum import KWAY_LIMIT
 from capnet.errors import CapabilityError, InstanceFormatError
 from capnet.graphs import (
+    CutFamily,
     Edge,
     Instance,
     KWay,
@@ -170,15 +171,17 @@ def test_max_flow_rejects_equal_endpoints_and_negative_weights():
         max_flow(inst, (-1,), 0, 1)
 
 
-def test_max_flow_decomposition_accounts_for_value():
-    inst = gen_random("uniform", n=6, m=10, seed=5)
+@pytest.mark.parametrize("sizes, directed", [(None, False), (None, True), ((2, 3), False)])
+def test_cut_family_sort_key_lists_the_cut(sizes, directed):
+    inst = gen_random("uniform", n=5, m=8, seed=4)
+    if directed:
+        inst = Instance(inst.n, inst.edges, Pairs(((0, 4, 1),)), directed=True)
+    family = CutFamily(inst, sizes)
     w = capacity_weighting(inst)
-    res = max_flow(inst, w, 0, 5, want_decomposition=True)
-    assert sum(amount for _, amount in res.decomposition) == res.value
-    for path, amount in res.decomposition:
-        assert path[0] == 0 and path[-1] == 5
-        assert amount > 0
-        assert len(set(path)) == len(path)
+    for i in range(len(family.shapes)):
+        cut = family.cut(i, w)
+        blocks = cut.parts if sizes else (cut.side,)
+        assert family.sort_key(i) == tuple(tuple(sorted(b)) for b in blocks)
 
 
 def test_fractional_capacity_scales_flows():

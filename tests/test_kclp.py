@@ -63,6 +63,9 @@ def test_variant_inference():
     assert wide.doc["gamma"] == "4" and wide.small_bound == 16
     with pytest.raises(ValueError):
         variant_for(pairs, gamma=Fraction(5, 4))  # below the actual spread
+    for inst in (uni, kway):  # gamma means nothing without pairs
+        with pytest.raises(ValueError):
+            variant_for(inst, gamma=2)
 
 
 def test_scale_factor_and_threshold_values():
