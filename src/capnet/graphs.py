@@ -443,13 +443,15 @@ class FeasibilityResult:
     pair_index: object = None  # which pair failed, for Pairs requirements
 
 
-def check_feasible(instance, edge_subset):
+def check_feasible(instance, edge_subset, family=None):
     """Does buying `edge_subset` meet the instance requirements?
 
     Always exact.  Uniform and Pairs checks reduce to max flows and work
     at any size.  KWay scans the requirement's cut family, so it raises
     CapabilityError past n = 10; its witness is the first violated
-    partition, level by level in `iter_partitions` order.
+    partition, level by level in `iter_partitions` order.  A caller that
+    already holds `cut_family(instance)` passes it as `family`, which
+    only the KWay scan reads.
     """
     w = subset_weighting(instance, edge_subset)
     req = instance.requirements
@@ -479,7 +481,7 @@ def check_feasible(instance, edge_subset):
         return FeasibilityResult(True)
 
     if isinstance(req, KWay):
-        family = cut_family(instance)
+        family = cut_family(instance) if family is None else family
         for i, (cap, need) in enumerate(zip(family.capacities(w), family.requirement)):
             if cap < need:
                 return FeasibilityResult(False, family.cut(i, w))

@@ -375,7 +375,7 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
     if variant.kind == "near-uniform":
         deviations.append(_NEAR_UNIFORM_DEVIATION)
 
-    full = check_feasible(instance, range(instance.m))
+    full = check_feasible(instance, range(instance.m), family)
     if not full.feasible:
         raise InfeasibleError("requirements exceed the full edge set", full.witness)
 

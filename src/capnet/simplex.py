@@ -1,8 +1,8 @@
-"""Exact rational simplex for covering LPs with box-bounded variables.
+"""Exact integer simplex for covering LPs with box-bounded variables.
 
 Solves   min c.x   s.t.   A x >= b,   0 <= x <= 1
 
-entirely over fractions.Fraction, so optima come back exact and equality
+without rounding, so optima come back as exact Fractions and equality
 comparisons against them are meaningful.  The solver assumes x = 1
 satisfies every row (the callers only generate inequalities that the full
 edge set meets), which gives a feasible starting basis for free: all
@@ -10,10 +10,31 @@ structural variables nonbasic at their upper bound, one surplus variable
 basic per row.  From there it runs the upper-bounded simplex method with
 Bland's rule, so every pivot choice is the lowest eligible index and the
 run is deterministic and cycle-free.
+
+Arithmetic is on Python integers only.  Each input row is scaled by the
+lcm of its denominators, the costs by the lcm of theirs; a positive row
+scale only rescales that row's surplus variable, and a positive cost
+scale only rescales the reduced costs, so neither changes a ratio-test
+comparison or a reduced-cost sign.  The tableau keeps one column per
+nonbasic variable (a basic column is a unit column and is not stored),
+and every entry, reduced cost and basic value is an integer over one
+common denominator D > 0, which is |det B| of the current basis B.  A
+pivot on element p is fraction-free in the Bareiss/Edmonds style
+(Applegate, Cook, Dash and Espinoza, *Exact solutions to LP problems*,
+ORL 2007):
+
+    T'[i][j] = (T[i][j] * p - T[i][q] * T[p][j]) // D,   then D = p,
+
+with the pivot row negated first when p < 0.  The division is exact.
+The basic values are a last column of the tableau, D times each row's
+basic value: a pivot updates them with the same formula and a bound flip
+by one column, so no pivot re-derives them, and the ratio test compares
+integer cross products instead of Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -33,91 +54,76 @@ def solve_box_covering_lp(costs, rows):
     if not rows:
         return [Fraction(0)] * m, Fraction(0)
 
-    r = len(rows)
-    n = m + r  # structural variables then one surplus per row
+    # Row i, scaled to integers and stored as -coeffs.x + s = -rhs, keeps
+    # its m nonbasic entries and then D times its basic value, which at
+    # the start (every structural at 1, D = 1) is coeffs.1 - rhs.
     tab = []
     for coeffs, rhs in rows:
         if len(coeffs) != m:
             raise ValueError("row width does not match variable count")
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
-        if sum(coeffs) < rhs:
+        coeffs = [v if type(v) is int else Fraction(v) for v in coeffs]
+        rhs = rhs if type(rhs) is int else Fraction(rhs)
+        scale = math.lcm(rhs.denominator, *(v.denominator for v in coeffs))
+        ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+        slack = sum(ints) - rhs.numerator * (scale // rhs.denominator)
+        if slack < 0:
             raise ValueError("row not satisfied at x = 1; constraint pool is inconsistent")
-        # Stored as -coeffs.x + s = -rhs so the starting basic (surplus)
-        # columns carry +1 and the tableau begins in canonical form.
-        tab.append([-v for v in coeffs] + [_ZERO] * r + [-rhs])
-    for i in range(r):
-        tab[i][m + i] = _ONE
+        tab.append([-v for v in ints] + [slack])
+    scale = math.lcm(*(c.denominator for c in costs))
+    zrow = [c.numerator * (scale // c.denominator) for c in costs]  # scale * D * reduced costs
 
-    upper = [_ONE] * m + [None] * r  # None: unbounded above
-    zrow = costs + [_ZERO] * r       # reduced costs
-    basis = [m + i for i in range(r)]
-    in_basis = [False] * n
-    for v in basis:
-        in_basis[v] = True
-    at_upper = [True] * m + [False] * r  # meaningful for nonbasic variables only
-
-    def basic_values():
-        vals = []
-        for i in range(r):
-            acc = tab[i][n]
-            row = tab[i]
-            for j in range(n):
-                if not in_basis[j] and at_upper[j]:
-                    acc -= row[j]
-            vals.append(acc)
-        return vals
+    r = len(rows)
+    den = 1
+    var = list(range(m))            # variable of each nonbasic column
+    at_upper = [True] * m           # bound of each nonbasic column's variable
+    basis = [m + i for i in range(r)]  # structurals are < m; surplus >= m is unbounded
 
     while True:
-        xb = basic_values()
-        entering = -1
-        direction = 0
-        for j in range(n):
-            if in_basis[j]:
-                continue
-            if at_upper[j]:
-                if zrow[j] > 0:
-                    entering, direction = j, -1
-                    break
-            elif zrow[j] < 0:
-                entering, direction = j, 1
-                break
-        if entering < 0:
-            x = [None] * n
-            for j in range(n):
-                if not in_basis[j]:
-                    x[j] = _ONE if at_upper[j] else _ZERO
+        col, entering = -1, m + r
+        for j in range(m):
+            if var[j] < entering and (zrow[j] > 0 if at_upper[j] else zrow[j] < 0):
+                col, entering = j, var[j]
+        if col < 0:
+            x = [_ZERO] * m
+            for j in range(m):
+                if var[j] < m and at_upper[j]:
+                    x[var[j]] = _ONE
             for i in range(r):
-                x[basis[i]] = xb[i]
-            solution = [Fraction(x[j]) for j in range(m)]
-            objective = sum((costs[j] * solution[j] for j in range(m)), _ZERO)
-            return solution, objective
+                if basis[i] < m:
+                    x[basis[i]] = Fraction(tab[i][m], den)
+            objective = sum((costs[j] * x[j] for j in range(m)), _ZERO)
+            return x, objective
 
         # Ratio test: entering moves by t >= 0 away from its current bound;
-        # basic variable i changes at rate -direction * tab[i][entering].
-        limit = upper[entering]  # own bound-to-bound distance, None if infinite
+        # basic variable i changes at rate -direction * tab[i][col] / den, so
+        # its step to a bound is num / rate with den cancelled.  Steps are
+        # compared as cross products of positive denominators.
+        direction = -1 if at_upper[col] else 1
+        limit = (1, 1) if entering < m else None  # own bound-to-bound distance
         block_row = -1
         block_to_upper = False
         for i in range(r):
-            rate = direction * tab[i][entering]
+            row = tab[i]
+            rate = direction * row[col]
             if rate > 0:
-                t = xb[i] / rate
+                num = row[m]
                 to_upper = False
             elif rate < 0:
-                ub = upper[basis[i]]
-                if ub is None:
+                if basis[i] >= m:
                     continue
-                t = (ub - xb[i]) / (-rate)
+                num = den - row[m]
+                rate = -rate
                 to_upper = True
             else:
                 continue
             # Strict improvement keeps bound flips preferred on ties; among
             # tying rows the smallest basic variable index leaves (Bland).
-            if limit is None or t < limit:
-                limit = t
+            if limit is None or num * limit[1] < limit[0] * rate:
+                limit = (num, rate)
                 block_row = i
                 block_to_upper = to_upper
-            elif t == limit and block_row >= 0 and basis[i] < basis[block_row]:
+            elif (block_row >= 0 and num * limit[1] == limit[0] * rate
+                  and basis[i] < basis[block_row]):
                 block_row = i
                 block_to_upper = to_upper
         if limit is None:
@@ -125,32 +131,48 @@ def solve_box_covering_lp(costs, rows):
 
         if block_row < 0:
             # Entering variable crosses to its other bound; basis unchanged.
-            at_upper[entering] = not at_upper[entering]
+            at_upper[col] = not at_upper[col]
+            for row in tab:
+                if row[col]:
+                    row[m] -= direction * row[col]
             continue
 
-        leaving = basis[block_row]
-        in_basis[leaving] = False
-        at_upper[leaving] = block_to_upper
-        basis[block_row] = entering
-        in_basis[entering] = True
-
-        piv = tab[block_row][entering]
+        # Pivot: the leaving variable takes over column col.  Its column is
+        # the unit column D * e_p, which the same formula maps to
+        # -sign * tab[i][col] off the pivot row and sign * D on it.  The
+        # last column is mapped as if both variables sat at 0, then the
+        # new basic value gains 1 if entering left its upper bound, and
+        # every row loses the leaving column if leaving stops at 1.
         prow = tab[block_row]
-        inv = 1 / piv
-        for j in range(n + 1):
-            if prow[j]:
-                prow[j] *= inv
+        piv = prow[col]
+        sign = 1 if piv > 0 else -1
+        if sign < 0:
+            prow = [-v for v in prow]
+            piv = -piv
         for i in range(r):
             if i == block_row:
                 continue
-            f = tab[i][entering]
+            row = tab[i]
+            f = row[col]
             if f:
-                row = tab[i]
-                for j in range(n + 1):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-        f = zrow[entering]
-        if f:
-            for j in range(n):
-                if prow[j]:
-                    zrow[j] -= f * prow[j]
+                row = [(v * piv - f * w) // den for v, w in zip(row, prow)]
+                row[col] = -sign * f
+                if block_to_upper:
+                    row[m] += sign * f
+                tab[i] = row
+            elif piv != den:
+                tab[i] = [v * piv // den for v in row]
+        f = zrow[col]
+        zrow = [(v * piv - f * w) // den for v, w in zip(zrow, prow)]
+        zrow[col] = -sign * f
+        prow[col] = sign * den
+        if direction < 0:
+            prow[m] += piv
+        if block_to_upper:
+            prow[m] -= sign * den
+        tab[block_row] = prow
+        den = piv
+
+        var[col] = basis[block_row]
+        at_upper[col] = block_to_upper
+        basis[block_row] = entering

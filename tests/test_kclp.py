@@ -9,12 +9,14 @@ import pytest
 
 from capnet.errors import CapabilityError, InfeasibleError
 from capnet.graphs import (
+    CutFamily,
     Edge,
     Instance,
     KWay,
     Pairs,
     Uniform,
     capacity_weighting,
+    check_feasible,
     cut_from_side,
     fractional_capacity,
 )
@@ -276,6 +278,30 @@ def test_infeasible_requirements_raise():
     inst = Instance(3, ((0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1)), Uniform(5))
     with pytest.raises(InfeasibleError):
         solve_good(inst, seed=0)
+
+
+def test_kway_infeasible_witness_is_the_first_short_partition():
+    # Two disjoint paths: the partition {0, 1} | {2, 3} crosses no edge.
+    inst = Instance(4, ((0, 1, 2, 1), (2, 3, 2, 1)), KWay((1, 1, 1)))
+    with pytest.raises(InfeasibleError) as info:
+        solve_good(inst, seed=0)
+    full = check_feasible(inst, range(inst.m))
+    assert not full.feasible
+    assert info.value.witness == full.witness
+
+
+def test_solve_good_builds_the_kway_family_once(monkeypatch):
+    inst = gen_random("kway", 9, 16, 1000, levels=2)  # generation scans partitions too
+    built = []
+    init = CutFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    solve_good(inst)
+    assert len(built) == 1
 
 
 def test_capability_guards():

@@ -1,9 +1,15 @@
-"""Exact bounded-variable simplex against exhaustive vertex enumeration.
+"""Exact bounded-variable simplex against exhaustive vertex enumeration
+and against a Fraction-tableau reference.
 
 An optimum of min c.x over {A x >= b, 0 <= x <= 1} sits at a basic point:
 the intersection of m linearly independent active constraints drawn from
 the rows and the bound planes.  Enumerating all such intersections with
 rational Gaussian elimination is slow but unarguable.
+
+The optimum value alone does not pin the vertex among ties, and the
+cutting-plane loop separates at the vertex.  _reference_solve is the
+dense Fraction tableau the integer solver replaced, with the same Bland
+rule, so the two must return the same vertex, not only the same value.
 """
 
 import itertools
@@ -12,6 +18,9 @@ from fractions import Fraction
 
 import pytest
 
+import capnet.kclp
+from capnet.kclp import solve_good
+from capnet.oracle import gen_random
 from capnet.simplex import solve_box_covering_lp
 
 
@@ -153,3 +162,134 @@ def test_fractional_rhs_and_coefficients():
         [Fraction(1)], [([Fraction(3, 2)], Fraction(1, 2))]
     )
     assert x == [Fraction(1, 3)] and obj == Fraction(1, 3)
+
+
+def _reference_solve(costs, rows):
+    """Dense Fraction tableau, all columns kept, basic values re-derived
+    on every iteration; same starting basis and same Bland rule."""
+    m = len(costs)
+    costs = [Fraction(c) for c in costs]
+    if not rows:
+        return [Fraction(0)] * m, Fraction(0)
+    r = len(rows)
+    n = m + r
+    tab = []
+    for coeffs, rhs in rows:
+        if len(coeffs) != m:
+            raise ValueError("row width does not match variable count")
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if sum(coeffs) < rhs:
+            raise ValueError("row not satisfied at x = 1")
+        tab.append([-v for v in coeffs] + [Fraction(0)] * r + [-rhs])
+    for i in range(r):
+        tab[i][m + i] = Fraction(1)
+    upper = [Fraction(1)] * m + [None] * r
+    zrow = costs + [Fraction(0)] * r
+    basis = [m + i for i in range(r)]
+    in_basis = [False] * m + [True] * r
+    at_upper = [True] * m + [False] * r
+    while True:
+        xb = [
+            tab[i][n] - sum(tab[i][j] for j in range(n) if not in_basis[j] and at_upper[j])
+            for i in range(r)
+        ]
+        entering = next(
+            (j for j in range(n)
+             if not in_basis[j] and (zrow[j] > 0 if at_upper[j] else zrow[j] < 0)),
+            -1,
+        )
+        if entering < 0:
+            x = [Fraction(1) if at_upper[j] else Fraction(0) for j in range(n)]
+            for i in range(r):
+                x[basis[i]] = xb[i]
+            return x[:m], sum((c * v for c, v in zip(costs, x)), Fraction(0))
+        direction = -1 if at_upper[entering] else 1
+        limit = upper[entering]
+        block_row, block_to_upper = -1, False
+        for i in range(r):
+            rate = direction * tab[i][entering]
+            if rate > 0:
+                t, to_upper = xb[i] / rate, False
+            elif rate < 0 and upper[basis[i]] is not None:
+                t, to_upper = (upper[basis[i]] - xb[i]) / -rate, True
+            else:
+                continue
+            if limit is None or t < limit or (
+                t == limit and block_row >= 0 and basis[i] < basis[block_row]
+            ):
+                limit, block_row, block_to_upper = t, i, to_upper
+        assert limit is not None
+        if block_row < 0:
+            at_upper[entering] = not at_upper[entering]
+            continue
+        leaving = basis[block_row]
+        in_basis[leaving], at_upper[leaving] = False, block_to_upper
+        basis[block_row], in_basis[entering] = entering, True
+        prow = [v / tab[block_row][entering] for v in tab[block_row]]
+        tab[block_row] = prow
+        for i in range(r):
+            if i != block_row and tab[i][entering]:
+                f = tab[i][entering]
+                tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+        f = zrow[entering]
+        zrow = [v - f * w for v, w in zip(zrow, prow)]
+
+
+def _tied_degenerate_lp(rng):
+    """Small costs drawn from few values (ties), duplicated and scaled
+    copies of rows, rows tight at x = 1 and rows with zero rhs."""
+    m = rng.randint(1, 6)
+    costs = [Fraction(rng.choice((0, 1, 1, 2, 3))) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(m)]
+        if sum(coeffs) == 0:
+            coeffs[rng.randrange(m)] = 1
+        rhs = rng.choice((sum(coeffs), 0, rng.randint(0, sum(coeffs))))
+        rows.append((coeffs, rhs))
+        if rng.random() < 0.3:
+            rows.append((list(coeffs), rhs))
+        if rng.random() < 0.2:
+            rows.append(([2 * v for v in coeffs], 2 * rhs))
+    rng.shuffle(rows)
+    return costs, rows
+
+
+def test_same_vertex_as_reference_on_tied_degenerate_lps():
+    rng = random.Random(2024)
+    for _ in range(250):
+        costs, rows = _tied_degenerate_lp(rng)
+        assert solve_box_covering_lp(costs, rows) == _reference_solve(costs, rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_same_vertex_as_reference_on_solve_good_pools(monkeypatch, seed):
+    calls = []
+
+    def recording(costs, rows):
+        calls.append((list(costs), [(list(c), rhs) for c, rhs in rows]))
+        return solve_box_covering_lp(costs, rows)
+
+    monkeypatch.setattr(capnet.kclp, "solve_box_covering_lp", recording)
+    solve_good(gen_random("uniform", 8, 16, seed))
+    assert calls
+    for costs, rows in calls:
+        assert solve_box_covering_lp(costs, rows) == _reference_solve(costs, rows)
+
+
+def test_mixed_denominators_match_reference_and_integer_scaling():
+    f = Fraction
+    costs = [f(1, 3), f(5, 6), f(7, 4)]
+    rows = [
+        ([f(1, 3), f(5, 6), f(7, 4)], f(3, 2)),
+        ([f(7, 4), f(0), f(1, 3)], f(5, 6)),
+        ([f(5, 6), f(1, 3), f(0)], f(1, 2)),
+    ]
+    x, obj = solve_box_covering_lp(costs, rows)
+    assert (x, obj) == _reference_solve(costs, rows)
+    # Each row times the lcm of its denominators, the costs times 12.
+    scaled_rows = [([4, 10, 21], 18), ([21, 0, 4], 10), ([5, 2, 0], 3)]
+    x_int, obj_int = solve_box_covering_lp([4, 10, 21], scaled_rows)
+    assert x_int == x and obj_int == 12 * obj
+    assert obj == _brute_optimum(costs, rows, 3)
