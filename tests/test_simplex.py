@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-import capnet.kclp
 from capnet.kclp import solve_good
 from capnet.oracle import gen_random
 from capnet.simplex import solve_box_covering_lp
@@ -271,7 +270,7 @@ def test_same_vertex_as_reference_on_solve_good_pools(monkeypatch, seed):
         calls.append((list(costs), [(list(c), rhs) for c, rhs in rows]))
         return solve_box_covering_lp(costs, rows)
 
-    monkeypatch.setattr(capnet.kclp, "solve_box_covering_lp", recording)
+    monkeypatch.setattr("capnet.kclp.solve_box_covering_lp", recording)
     solve_good(gen_random("uniform", 8, 16, seed))
     assert calls
     for costs, rows in calls:
