@@ -7,16 +7,24 @@ relevant cut: a subset (or copy vector) is feasible exactly when every
 row's selected capacity meets its demand, which agrees with the max-flow
 characterization used elsewhere because min cut equals max flow.
 
-Branch and bound conventions: subsets decide edges in cost-descending
-order, exclusion branch first; copy vectors decide edges in index order,
-counts ascending.  Pruning uses a fractional covering lower bound (the
-cheapest cost-per-capacity fill of the most deficient row), which never
+Both oracles run one branch and bound over bounded copy vectors
+(`_search`): an edge subset is a copy vector bounded by 1, deciding edges
+in cost-descending order, while the copy oracle bounds edge e by
+ceil(max need / u(e)) and decides edges in index order.  Counts branch
+ascending, so a subset tries excluding an edge first.  Costs are scaled
+once to integers by the lcm of their denominators, and each row keeps its
+gap (need - chosen) and its slack (chosen + open - need), updated only on
+the rows of the edge being decided.  Pruning uses a fractional covering
+lower bound: the cheapest fill of the first most deficient row from its
+undecided lots, each lot being an edge at its full bound, taken in order
+of cost per capacity, then cost, then index.  The bound never
 overestimates, so only strictly-worse branches die and the
 lexicographically least optimum survives ties.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -64,19 +72,94 @@ def constraint_rows(instance):
     return tuple(sorted(rows.items()))
 
 
-def _fractional_fill(deficit, candidates):
-    """Cheapest fractional cost to cover `deficit` units of capacity from
-    (cost, capacity) lots; None when all lots together fall short."""
-    if sum(u for _, u in candidates) < deficit:
-        return None
-    cost = Fraction(0)
-    for c, u in sorted(candidates, key=lambda t: (Fraction(t[0], t[1]), t[0])):
-        if deficit <= 0:
-            break
-        take = min(u, deficit)
-        cost += Fraction(c) * Fraction(take, u)
-        deficit -= take
-    return cost
+# ---------------------------------------------------------------------------
+# branch and bound over bounded copy vectors
+
+def _rows_of(rows, m):
+    """For each edge, the indices of the rows it crosses."""
+    rows_of = [[] for _ in range(m)]
+    for r, (key, _) in enumerate(rows):
+        for e in key:
+            rows_of[e].append(r)
+    return rows_of
+
+
+def _search(rows, costs, caps, bound, order, warm, leaf_key):
+    """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
+    covers every row: a row (edge tuple, need) is covered when the
+    copies of its edges carry at least `need` capacity.
+
+    Edges are decided in `order`, counts ascending.  `warm` is a feasible
+    copy vector to start from, and `leaf_key(copies, pos)` gives the key
+    that breaks cost ties at a covered node where order[pos:] is still
+    undecided (at zero copies).  Returns (cost, key, nodes explored).
+    """
+    m = len(costs)
+    scale = math.lcm(*(c.denominator for c in costs))
+    price = [c.numerator * (scale // c.denominator) for c in costs]
+    rank = [0] * m
+    for i, e in enumerate(order):
+        rank[e] = i
+    rows_of = _rows_of(rows, m)
+    span = [bound[e] * caps[e] for e in range(m)]
+    gap = [need for _, need in rows]
+    slack = [sum(span[e] for e in key) - need for key, need in rows]
+    # One lot per edge, its full bound: (rank, cost, capacity).  Each row
+    # lists its lots in fill order, sharing the tuples.
+    lot = [(rank[e], price[e] * bound[e], span[e]) for e in range(m)]
+    fill_order = sorted(range(m), key=lambda e: (Fraction(lot[e][1], lot[e][2]), lot[e][1], e))
+    place = [0] * m
+    for i, e in enumerate(fill_order):
+        place[e] = i
+    lots = [[lot[e] for e in sorted(key, key=place.__getitem__)] for key, _ in rows]
+
+    best = sum(price[e] * count for e, count in enumerate(warm))
+    best_key = leaf_key(warm, m)
+    current = [0] * m
+    explored = 0
+
+    def descend(pos, cost):
+        nonlocal best, best_key, explored
+        explored += 1
+        if min(slack) < 0:
+            return  # some row is short even with every open copy bought
+        worst = max(gap)
+        if worst <= 0:
+            if cost <= best:
+                key = leaf_key(current, pos)
+                if cost < best or key < best_key:
+                    best, best_key = cost, key
+            return
+        # Fractional fill of the first most deficient row.  Its open lots
+        # carry `slack` >= 0 more than its gap, so the walk ends at a lot
+        # that covers the rest; prune when the fill costs more than
+        # best - cost (cross-multiplied at that partial lot).
+        room = best - cost
+        for rk, c, u in lots[gap.index(worst)]:
+            if rk >= pos:
+                if u >= worst:
+                    if c * worst > room * u:
+                        return
+                    break
+                worst -= u
+                room -= c
+        e = order[pos]
+        cap, full, rs = caps[e], span[e], rows_of[e]
+        for r in rs:
+            slack[r] -= full
+        descend(pos + 1, cost)
+        for count in range(1, bound[e] + 1):
+            for r in rs:
+                gap[r] -= cap
+                slack[r] += cap
+            current[e] = count
+            descend(pos + 1, cost + price[e] * count)
+        current[e] = 0
+        for r in rs:
+            gap[r] += full
+
+    descend(0, 0)
+    return Fraction(best, scale), best_key, explored
 
 
 # ---------------------------------------------------------------------------
@@ -106,85 +189,36 @@ def exact_optimum(instance, force=False):
     m = instance.m
     caps = [e.capacity for e in instance.edges]
     costs = [e.cost for e in instance.edges]
-    keys = [key for key, _ in rows]
-    need = [nd for _, nd in rows]
-    for key, nd in zip(keys, need):
+    for key, nd in rows:
         if sum(caps[e] for e in key) < nd:
             raise InfeasibleError("requirements exceed the full edge set", (key, nd))
-    rows_of = [[] for _ in range(m)]
-    for r, key in enumerate(keys):
-        for e in key:
-            rows_of[e].append(r)
-
     order = sorted(range(m), key=lambda e: (-costs[e], e))
-    rank = [0] * m
-    for i, e in enumerate(order):
-        rank[e] = i
 
     # Warm start: keep everything, then drop expensive edges greedily.
-    kept_cap = [sum(caps[e] for e in key) for key in keys]
-    incumbent = set(range(m))
+    kept_cap = [sum(caps[e] for e in key) for key, _ in rows]
+    rows_of = _rows_of(rows, m)
+    warm = [1] * m
     for e in order:
-        if all(kept_cap[r] - caps[e] >= need[r] for r in rows_of[e]):
-            incumbent.discard(e)
+        if all(kept_cap[r] - caps[e] >= rows[r][1] for r in rows_of[e]):
+            warm[e] = 0
             for r in rows_of[e]:
                 kept_cap[r] -= caps[e]
-    best_edges = tuple(sorted(incumbent))
-    best_cost = sum((costs[e] for e in incumbent), Fraction(0))
 
-    chosen_cap = [0] * len(keys)
-    open_cap = [sum(caps[e] for e in key) for key in keys]
-    chosen = []
-    explored = 0
+    def padded(chosen, pos):
+        # Costlier supersets lose outright, but padding with an undecided
+        # zero-cost edge below the current maximum keeps the cost and
+        # shrinks the tuple lexicographically; every optimum is such a
+        # padding of some covered node, so this closed form keeps the
+        # lex-least contract exact.
+        cand = [e for e, count in enumerate(chosen) if count]
+        if cand:
+            top = cand[-1]
+            cand += [e for e in order[pos:] if costs[e] == 0 and e < top]
+            cand.sort()
+        return tuple(cand)
 
-    def descend(pos, cost):
-        nonlocal best_cost, best_edges, explored
-        explored += 1
-        deficient, worst = None, 0
-        for r, nd in enumerate(need):
-            gap = nd - chosen_cap[r]
-            if chosen_cap[r] + open_cap[r] < nd:
-                return  # no completion can cover row r
-            if gap > worst:
-                worst, deficient = gap, r
-        if deficient is None:
-            cand = sorted(chosen)
-            # Costlier supersets lose outright, but padding with an
-            # undecided zero-cost edge below the current maximum keeps
-            # the cost and shrinks the tuple lexicographically; every
-            # optimum is such a padding of some covered node, so this
-            # closed form keeps the lex-least contract exact.
-            if cand:
-                top = cand[-1]
-                cand += [e for e in order[pos:] if costs[e] == 0 and e < top]
-                cand.sort()
-            cand = tuple(cand)
-            if cost < best_cost or (cost == best_cost and cand < best_edges):
-                best_cost, best_edges = cost, cand
-            return
-        if pos == m:
-            return
-        fill = _fractional_fill(
-            worst,
-            [(costs[e], caps[e]) for e in keys[deficient] if rank[e] >= pos],
-        )
-        if fill is None or cost + fill > best_cost:
-            return
-        e = order[pos]
-        for r in rows_of[e]:
-            open_cap[r] -= caps[e]
-        descend(pos + 1, cost)  # exclude e
-        for r in rows_of[e]:
-            chosen_cap[r] += caps[e]
-        chosen.append(e)
-        descend(pos + 1, cost + costs[e])  # include e
-        chosen.pop()
-        for r in rows_of[e]:
-            chosen_cap[r] -= caps[e]
-            open_cap[r] += caps[e]
-
-    descend(0, Fraction(0))
-    return SubsetOptimum(best_cost, best_edges, explored)
+    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, warm, padded)
+    return SubsetOptimum(cost, edges, explored)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +237,8 @@ def exact_optimum_multicopy(instance, force=False):
     Copy counts per edge are bounded by ceil(max demand / u(e)): more
     copies than that already cover the largest demand single-handedly on
     every cut through the edge, so exceeding the bound never helps.
-    Capped at m <= 12 unless force=True.
+    Capped at m <= 12 unless force=True.  Among optima, returns the
+    lexicographically least copy vector.
     """
     if instance.m > MULTICOPY_EDGE_LIMIT and not force:
         raise CapabilityError(
@@ -217,74 +252,21 @@ def exact_optimum_multicopy(instance, force=False):
     m = instance.m
     caps = [e.capacity for e in instance.edges]
     costs = [e.cost for e in instance.edges]
-    keys = [key for key, _ in rows]
-    need = [nd for _, nd in rows]
-    max_need = max(need)
-    limit = [ceil_div(max_need, caps[e]) for e in range(m)]
-    for key, nd in zip(keys, need):
+    for key, nd in rows:
         if not key:
             raise InfeasibleError("some pair is disconnected", (key, nd))
-    rows_of = [[] for _ in range(m)]
-    for r, key in enumerate(keys):
-        for e in key:
-            rows_of[e].append(r)
+    max_need = max(nd for _, nd in rows)
+    limit = [ceil_div(max_need, caps[e]) for e in range(m)]
 
     # Warm start from per-pair shortest paths, capped at the copy bound
     # (a capped edge covers every cut through it on its own).
     base = baseline_independent_pairs(instance)
-    best_copies = tuple(min(base.copies[e], limit[e]) for e in range(m))
-    best_cost = sum((costs[e] * c for e, c in enumerate(best_copies)), Fraction(0))
+    warm = [min(base.copies[e], limit[e]) for e in range(m)]
 
-    chosen_cap = [0] * len(keys)
-    open_cap = [sum(limit[e] * caps[e] for e in key) for key in keys]
-    current = [0] * m
-    explored = 0
-
-    def descend(pos, cost):
-        nonlocal best_cost, best_copies, explored
-        explored += 1
-        deficient, worst = None, 0
-        for r, nd in enumerate(need):
-            gap = nd - chosen_cap[r]
-            if chosen_cap[r] + open_cap[r] < nd:
-                return
-            if gap > worst:
-                worst, deficient = gap, r
-        if deficient is None:
-            cand = tuple(current)
-            if cost < best_cost or (cost == best_cost and cand < best_copies):
-                best_cost, best_copies = cost, cand
-            return
-        if pos == m:
-            return
-        fill = _fractional_fill(
-            worst,
-            [
-                (costs[e] * limit[e], caps[e] * limit[e])
-                for e in keys[deficient]
-                if e >= pos and limit[e] > 0
-            ],
-        )
-        if fill is None or cost + fill > best_cost:
-            return
-        e = pos  # copy counts branch in edge index order
-        span = limit[e] * caps[e]
-        for r in rows_of[e]:
-            open_cap[r] -= span
-        for count in range(limit[e] + 1):
-            current[e] = count
-            add = count * caps[e]
-            for r in rows_of[e]:
-                chosen_cap[r] += add
-            descend(pos + 1, cost + costs[e] * count)
-            for r in rows_of[e]:
-                chosen_cap[r] -= add
-        current[e] = 0
-        for r in rows_of[e]:
-            open_cap[r] += span
-
-    descend(0, Fraction(0))
-    return CopyOptimum(best_cost, best_copies, explored)
+    cost, copies, explored = _search(
+        rows, costs, caps, limit, range(m), warm, lambda current, pos: tuple(current)
+    )
+    return CopyOptimum(cost, copies, explored)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError
-from .graphs import check_feasible
+from .graphs import KWay, check_feasible, cut_family
 from .kclp import FractionalSolution
 from .util import derive_seed
 
@@ -96,11 +96,13 @@ def round_solution(solution, seed=0):
         raise TypeError("round_solution expects a FractionalSolution")
     instance = solution.instance
     scale = 1 / solution.threshold
+    # Only the k-way check scans the cut family; build it once for every draw.
+    family = cut_family(instance) if isinstance(instance.requirements, KWay) else None
     attempts = []
     for t in range(MAX_ATTEMPTS):
         attempt_seed = derive_seed(seed, t)
         edges = sample_edges(solution, scale, attempt_seed)
-        result = check_feasible(instance, edges)
+        result = check_feasible(instance, edges, family)
         cost = instance.total_cost(edges)
         attempts.append(
             RoundingAttempt(attempt_seed, edges, cost, result.feasible)

@@ -1,5 +1,7 @@
 """Exact oracles, gap generators, label cover, and random instances."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,8 @@ from capnet.oracle import (
     sample_yes_instances,
     verify_yes_certificate,
 )
+from capnet.multicopy import baseline_independent_pairs
+from capnet.util import ceil_div
 
 from conftest import brute_copy_optimum, brute_subset_optimum
 
@@ -178,6 +182,205 @@ def test_copy_oracle_edge_cap():
     with pytest.raises(CapabilityError):
         exact_optimum_multicopy(inst)
     assert exact_optimum_multicopy(inst, force=True).cost == 2
+
+
+# ---------------------------------------------------------------------------
+# the shared integer search against the two Fraction searches it replaced
+#
+# _reference_subset and _reference_copies are the earlier oracles, one
+# branch and bound each with a Fraction fill over every row at every node.
+# The shared kernel must explore the same tree: same cost, same tuple and
+# same node count.
+
+def _reference_fill(deficit, candidates):
+    if sum(u for _, u in candidates) < deficit:
+        return None
+    cost = Fraction(0)
+    for c, u in sorted(candidates, key=lambda t: (Fraction(t[0], t[1]), t[0])):
+        if deficit <= 0:
+            break
+        take = min(u, deficit)
+        cost += Fraction(c) * Fraction(take, u)
+        deficit -= take
+    return cost
+
+
+def _reference_subset(instance):
+    rows = constraint_rows(instance)
+    if not rows:
+        return Fraction(0), (), 0
+    m = instance.m
+    caps = [e.capacity for e in instance.edges]
+    costs = [e.cost for e in instance.edges]
+    keys = [key for key, _ in rows]
+    need = [nd for _, nd in rows]
+    rows_of = [[] for _ in range(m)]
+    for r, key in enumerate(keys):
+        for e in key:
+            rows_of[e].append(r)
+    order = sorted(range(m), key=lambda e: (-costs[e], e))
+    rank = [0] * m
+    for i, e in enumerate(order):
+        rank[e] = i
+    kept_cap = [sum(caps[e] for e in key) for key in keys]
+    incumbent = set(range(m))
+    for e in order:
+        if all(kept_cap[r] - caps[e] >= need[r] for r in rows_of[e]):
+            incumbent.discard(e)
+            for r in rows_of[e]:
+                kept_cap[r] -= caps[e]
+    best = [sum((costs[e] for e in incumbent), Fraction(0)), tuple(sorted(incumbent)), 0]
+    chosen_cap = [0] * len(keys)
+    open_cap = [sum(caps[e] for e in key) for key in keys]
+    chosen = []
+
+    def descend(pos, cost):
+        best[2] += 1
+        deficient, worst = None, 0
+        for r, nd in enumerate(need):
+            gap = nd - chosen_cap[r]
+            if chosen_cap[r] + open_cap[r] < nd:
+                return
+            if gap > worst:
+                worst, deficient = gap, r
+        if deficient is None:
+            cand = sorted(chosen)
+            if cand:
+                top = cand[-1]
+                cand += [e for e in order[pos:] if costs[e] == 0 and e < top]
+                cand.sort()
+            cand = tuple(cand)
+            if cost < best[0] or (cost == best[0] and cand < best[1]):
+                best[0], best[1] = cost, cand
+            return
+        if pos == m:
+            return
+        fill = _reference_fill(
+            worst, [(costs[e], caps[e]) for e in keys[deficient] if rank[e] >= pos]
+        )
+        if fill is None or cost + fill > best[0]:
+            return
+        e = order[pos]
+        for r in rows_of[e]:
+            open_cap[r] -= caps[e]
+        descend(pos + 1, cost)
+        for r in rows_of[e]:
+            chosen_cap[r] += caps[e]
+        chosen.append(e)
+        descend(pos + 1, cost + costs[e])
+        chosen.pop()
+        for r in rows_of[e]:
+            chosen_cap[r] -= caps[e]
+            open_cap[r] += caps[e]
+
+    descend(0, Fraction(0))
+    return tuple(best)
+
+
+def _reference_copies(instance):
+    rows = constraint_rows(instance)
+    if not rows:
+        return Fraction(0), (0,) * instance.m, 0
+    m = instance.m
+    caps = [e.capacity for e in instance.edges]
+    costs = [e.cost for e in instance.edges]
+    keys = [key for key, _ in rows]
+    need = [nd for _, nd in rows]
+    limit = [ceil_div(max(need), caps[e]) for e in range(m)]
+    rows_of = [[] for _ in range(m)]
+    for r, key in enumerate(keys):
+        for e in key:
+            rows_of[e].append(r)
+    base = baseline_independent_pairs(instance)
+    copies = tuple(min(base.copies[e], limit[e]) for e in range(m))
+    best = [sum((costs[e] * c for e, c in enumerate(copies)), Fraction(0)), copies, 0]
+    chosen_cap = [0] * len(keys)
+    open_cap = [sum(limit[e] * caps[e] for e in key) for key in keys]
+    current = [0] * m
+
+    def descend(pos, cost):
+        best[2] += 1
+        deficient, worst = None, 0
+        for r, nd in enumerate(need):
+            gap = nd - chosen_cap[r]
+            if chosen_cap[r] + open_cap[r] < nd:
+                return
+            if gap > worst:
+                worst, deficient = gap, r
+        if deficient is None:
+            cand = tuple(current)
+            if cost < best[0] or (cost == best[0] and cand < best[1]):
+                best[0], best[1] = cost, cand
+            return
+        if pos == m:
+            return
+        fill = _reference_fill(
+            worst,
+            [(costs[e] * limit[e], caps[e] * limit[e]) for e in keys[deficient] if e >= pos],
+        )
+        if fill is None or cost + fill > best[0]:
+            return
+        e = pos
+        span = limit[e] * caps[e]
+        for r in rows_of[e]:
+            open_cap[r] -= span
+        for count in range(limit[e] + 1):
+            current[e] = count
+            add = count * caps[e]
+            for r in rows_of[e]:
+                chosen_cap[r] += add
+            descend(pos + 1, cost + costs[e] * count)
+            for r in rows_of[e]:
+                chosen_cap[r] -= add
+        current[e] = 0
+        for r in rows_of[e]:
+            open_cap[r] += span
+
+    descend(0, Fraction(0))
+    return tuple(best)
+
+
+def _mixed_costs(instance, seed):
+    """The instance with costs over denominators 2, 3, 4 and 6, and
+    about four edges in ten free, so the integer scaling and the subset
+    oracle's zero-cost padding both come into play."""
+    rng = random.Random(seed)
+    edges = tuple(
+        replace(e, cost=Fraction(0) if rng.random() < 0.4
+                else Fraction(rng.randint(1, 13), rng.choice((2, 3, 4, 6))))
+        for e in instance.edges
+    )
+    return replace(instance, edges=edges)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("uniform", {}),
+    ("kway", {"levels": 2}),
+    ("pairs", {"pairs": 2}),
+])
+def test_subset_search_matches_the_reference_tree(kind, kwargs):
+    padded = 0
+    for seed in range(50):
+        inst = _mixed_costs(gen_random(kind, 6, 10, seed, **kwargs), seed)
+        opt = exact_optimum(inst)
+        assert (opt.cost, opt.edges, opt.explored) == _reference_subset(inst), seed
+        padded += any(inst.edges[e].cost == 0 for e in opt.edges)
+    assert padded >= 10   # free edges ride along in many optima
+
+
+def test_copy_search_matches_the_reference_tree():
+    for seed in range(50):
+        inst = _mixed_costs(gen_random("pairs", 5, 8, seed, pairs=2, demand_cap=6), seed)
+        opt = exact_optimum_multicopy(inst)
+        assert (opt.cost, opt.copies, opt.explored) == _reference_copies(inst), seed
+
+
+def test_node_counts_are_pinned():
+    # The benchmark's anchor and the pairs-multicopy tail instance: a
+    # changed count means a changed search tree.
+    assert exact_optimum(gen_random("uniform", 12, 24, 7)).explored == 2961
+    tail = gen_random("pairs", 8, 12, 1004, pairs=3)
+    assert exact_optimum_multicopy(tail).explored == 56763
 
 
 # ---------------------------------------------------------------------------

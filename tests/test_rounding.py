@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capnet.errors import InfeasibleError
-from capnet.graphs import Instance, Pairs, check_feasible
+from capnet.graphs import CutFamily, Instance, KWay, Pairs, check_feasible
 from capnet.kclp import FractionalSolution, solve_good, variant_for
 from capnet.oracle import gen_random, gen_triangle_gap
 from capnet.rounding import (
@@ -84,6 +84,24 @@ def test_round_solution_gives_up_after_budget():
         round_solution(sol, seed=0)
     assert len(err.value.witness) == MAX_ATTEMPTS
     assert all(not a.feasible for a in err.value.witness)
+
+
+def test_round_solution_builds_the_kway_family_once(monkeypatch):
+    # Every x is zero, so every draw buys nothing and fails the 2-way bound.
+    inst = Instance(4, ((0, 1, 2, 1), (1, 2, 2, 1), (2, 3, 2, 1), (0, 3, 2, 1)), KWay((1,)))
+    sol = FractionalSolution(inst, (Fraction(0),) * 4, variant_for(inst).threshold)
+    built = []
+    init = CutFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    with pytest.raises(InfeasibleError) as err:
+        round_solution(sol, seed=0)
+    assert len(err.value.witness) == MAX_ATTEMPTS
+    assert len(built) == 1
 
 
 def test_round_solution_samples_at_the_certified_scale():
