@@ -48,19 +48,20 @@ def _bipartitions(instance, weighting):
     if instance.directed:
         raise ValueError("cut enumeration works on undirected instances")
     family = CutFamily(instance)
-    return family, family.capacities(weighting)
+    return (family, *family.capacities(weighting))
 
 
-def _cuts_within(family, capacities, weighting, bound):
-    cuts = [family.cut(i, weighting) for i, cap in enumerate(capacities) if cap <= bound]
+def _cuts_within(family, sums, weighting, bound):
+    # `bound` is over the same denominator as `sums`.
+    cuts = [family.cut(i, weighting) for i, cap in enumerate(sums) if cap <= bound]
     cuts.sort(key=lambda c: (c.capacity, sorted(c.side)))
     return tuple(cuts)
 
 
 def enumerate_cuts_within(instance, weighting, bound):
     """All canonical cuts of capacity <= bound, by exhaustive scan (n <= 16)."""
-    family, capacities = _bipartitions(instance, weighting)
-    return _cuts_within(family, capacities, weighting, bound)
+    family, sums, den = _bipartitions(instance, weighting)
+    return _cuts_within(family, sums, weighting, bound * den)
 
 
 def enumerate_near_min_cuts(instance, weighting, alpha):
@@ -76,11 +77,12 @@ def enumerate_near_min_cuts(instance, weighting, alpha):
     n = instance.n
     if n < 2:
         raise ValueError("need at least two vertices")
-    family, capacities = _bipartitions(instance, weighting)
-    least = min(capacities)
+    family, sums, den = _bipartitions(instance, weighting)
+    least = min(sums)
     if least <= 0:
         raise DisconnectedError("minimum cut is zero; relative enumeration is undefined")
-    pool = CutPool(_cuts_within(family, capacities, weighting, alpha * least), alpha, least)
+    cuts = _cuts_within(family, sums, weighting, alpha * least)
+    pool = CutPool(cuts, alpha, least if den == 1 else Fraction(least, den))
     invariant(_count_within_bound(len(pool.cuts), n, 2 * alpha), "cut-count bound exceeded")
     return pool
 
@@ -98,14 +100,14 @@ def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha):
     if instance.directed:
         raise ValueError("multiway cut enumeration works on undirected instances")
     family = CutFamily(instance, (parts,))
-    capacities = family.capacities(weighting)
-    best = min(capacities)
+    sums, _ = family.capacities(weighting)
+    best = min(sums)
     if best <= 0:
         raise DisconnectedError("minimum multiway cut is zero; relative enumeration is undefined")
-    bound = alpha * best
+    bound = alpha * best  # both over the capacities' common denominator
     kept = tuple(
         sorted(
-            (family.cut(i, weighting) for i, cap in enumerate(capacities) if cap <= bound),
+            (family.cut(i, weighting) for i, cap in enumerate(sums) if cap <= bound),
             key=lambda c: (c.capacity, [sorted(p) for p in c.parts]),
         )
     )

@@ -25,14 +25,14 @@ crossing edges and the demand the requirements put on it.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, InstanceFormatError, invariant
-from .util import format_rational, iter_partitions
+from .util import format_rational, iter_partitions, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -249,19 +249,18 @@ def row_requirement(instance, shape):
     demand whose pair they separate.
     """
     req = instance.requirements
+    if isinstance(req, Pairs):
+        crosses = operator.gt if instance.directed else operator.ne  # as CutFamily.crossing
+        return max((r for s, t, r in req.pairs if crosses(shape[s], shape[t])), default=0)
+    return _blocks_requirement(req, max(shape) + 1)
+
+
+def _blocks_requirement(req, blocks):
+    # What uniform or k-way requirements ask of every cut into `blocks` blocks.
     if isinstance(req, Uniform):
         return req.R
-    if isinstance(req, KWay):
-        level = max(shape) - 1
-        return req.Rs[level] if level < len(req.Rs) else 0
-    crosses = _crosses(instance)
-    return max((r for s, t, r in req.pairs if crosses(shape[s], shape[t])), default=0)
-
-
-def _crosses(instance):
-    # Compares the blocks of u and v: (u, v) crosses a cut when they
-    # differ, or for a directed cut when u is on the source side and v off.
-    return operator.gt if instance.directed else operator.ne
+    level = blocks - 2
+    return req.Rs[level] if level < len(req.Rs) else 0
 
 
 class CutFamily:
@@ -285,33 +284,52 @@ class CutFamily:
         if n > limit:
             raise CapabilityError(f"cuts are enumerated exhaustively; capped at n = {limit}, got {n}")
         if instance.directed:
-            shapes = (tuple(mask >> v & 1 for v in range(n)) for mask in range(1, (1 << n) - 1))
+            sides = range(1, (1 << n) - 1)
+            groups = [(2, [bytes(mask >> v & 1 for v in range(n)) for mask in sides])]
         else:
-            shapes = (a for p in sizes or (2,) for a in iter_partitions(n, p))
+            groups = [(p, [bytes(a) for a in iter_partitions(n, p)]) for p in sizes or (2,)]
         self.instance = instance
-        self.shapes = tuple(bytes(a) for a in shapes)  # tuples cost 3x the memory
-        ends = [(e.tail, e.head) for e in instance.edges]
-        crosses = _crosses(instance)
-        self.crossing = tuple(
-            tuple(i for i, (u, v) in enumerate(ends) if crosses(a[u], a[v])) for a in self.shapes
-        )
-        self.requirement = tuple(row_requirement(instance, a) for a in self.shapes)
+        self.shapes = tuple(a for _, shapes in groups for a in shapes)  # bytes: tuples cost 3x
+        ends = [(i, e.tail, e.head) for i, e in enumerate(instance.edges)]
+        if instance.directed:  # an arc crosses from the source side (block 1) out
+            crossing = [tuple([i for i, u, v in ends if a[u] > a[v]]) for a in self.shapes]
+        else:
+            crossing = [tuple([i for i, u, v in ends if a[u] != a[v]]) for a in self.shapes]
+        self.crossing = tuple(crossing)
+        req = instance.requirements
+        if isinstance(req, Pairs):
+            self.requirement = tuple(row_requirement(instance, a) for a in self.shapes)
+        else:  # one demand per block count
+            self.requirement = tuple(
+                need for p, shapes in groups for need in [_blocks_requirement(req, p)] * len(shapes)
+            )
 
     def capacities(self, weighting):
-        """Exact capacity of every row under `weighting`, summed over
-        integer numerators with one common denominator."""
-        weights = [Fraction(weighting[e]) for e in range(self.instance.m)]
-        den = math.lcm(*(w.denominator for w in weights))
-        nums = [w.numerator * (den // w.denominator) for w in weights]
-        sums = [sum(nums[e] for e in c) for c in self.crossing]
-        return sums if den == 1 else [Fraction(s, den) for s in sums]
+        """(sums, den): row i's exact capacity under `weighting` is
+        sums[i] / den, summed over integer numerators with one common
+        denominator den (1 for an integer weighting)."""
+        nums, den = over_common_denominator(weighting)
+        weight = nums.__getitem__
+        return [sum(map(weight, c)) for c in self.crossing], den
 
-    def sort_key(self, i):
-        """Row i's parts (partition rows) or side, as ascending vertex
-        tuples in the order its KWayCut or Cut lists them."""
-        shape = self.shapes[i]
-        blocks = range(max(shape) + 1) if self.kway else (1,)
-        return tuple(tuple(v for v, b in enumerate(shape) if b == k) for k in blocks)
+    @functools.cached_property
+    def rank(self):
+        """Each row's position when the rows are sorted by their cut's
+        parts (partition rows) or side, as ascending vertex tuples in the
+        order its KWayCut or Cut lists them.  Built on first use."""
+        # A part as bytes, 1 at its vertices and 2 elsewhere with the
+        # trailing 2s stripped, sorts like its ascending vertex tuple; a 0
+        # byte closes each part, so a shorter part sorts first.
+        tables = [bytes(1 if b == k else 2 for b in range(256)) for k in range(self.instance.n)]
+        if self.kway:
+            keys = [b"\0".join([a.translate(t).rstrip(b"\2") for t in tables[: max(a) + 1]])
+                    for a in self.shapes]
+        else:
+            keys = [a.translate(tables[1]).rstrip(b"\2") for a in self.shapes]
+        rank = [0] * len(keys)
+        for position, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            rank[i] = position
+        return rank
 
     def cut(self, i, weighting):
         """Row i as a KWayCut (partition rows) or a Cut."""
@@ -482,7 +500,7 @@ def check_feasible(instance, edge_subset, family=None):
 
     if isinstance(req, KWay):
         family = cut_family(instance) if family is None else family
-        for i, (cap, need) in enumerate(zip(family.capacities(w), family.requirement)):
+        for i, (cap, need) in enumerate(zip(family.capacities(w)[0], family.requirement)):
             if cap < need:
                 return FeasibilityResult(False, family.cut(i, w))
         return FeasibilityResult(True)

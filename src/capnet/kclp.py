@@ -18,10 +18,16 @@ constraint pool and alternates exact LP solves with separation rounds:
      (capacity at most twice the requirement under uhat).
 
 Both steps are one scan (_violations) over the rows of one exhaustive
-cut family (graphs.CutFamily), built once per solve; each round computes
-its row capacities under uhat once.  A violated row stays a family row
-index with its cover terms until it enters the pool, and only then is
-its Cut or KWayCut built.
+cut family (graphs.CutFamily), built once per solve and handed on to the
+rounding step with the solution.  The scan runs on Python integers: each
+round writes x over D, the lcm of its denominators, once, and every row
+capacity and cover-row slack is then an integer D times its value.  As
+D > 0 this keeps every sign and every order of slacks, so the pool, its
+order and the LP vertices are those of an exact rational scan.  A
+violated row stays a family row index until it enters the pool; only
+then are its cover terms and its Cut or KWayCut built, and Fractions
+appear only there and in the certificate slacks, each its integer slack
+over D.
 
 For step 2 each cut is tested against a nested family of candidate A
 sets, the prefixes of its crossing edges ordered by decreasing x, plus
@@ -57,7 +63,7 @@ from .graphs import (
     row_requirement,
 )
 from .simplex import solve_box_covering_lp
-from .util import format_rational, log2_fixed
+from .util import format_rational, log2_fixed, over_common_denominator
 
 SEPARATION_BATCH = 40
 
@@ -86,8 +92,12 @@ class VariantRecord:
     def threshold(self):
         return 1 / self.scale
 
-    def small(self, capacity, need):
-        return capacity <= (2 * need if self.small_bound is None else self.small_bound)
+    def small(self, capacity, need, den=1):
+        """Is a row of capacity capacity / den and demand `need` small?"""
+        if self.small_bound is None:
+            return capacity <= 2 * need * den
+        bound = self.small_bound
+        return capacity * bound.denominator <= bound.numerator * den
 
 
 def variant_for(instance, gamma=None):
@@ -122,9 +132,16 @@ def variant_for(instance, gamma=None):
 
 @dataclass(frozen=True)
 class FractionalSolution:
+    """x over the instance's edges with its nearly-integral threshold.
+
+    `family`, when given, is `cut_family(instance)` as the solve built
+    it, so later stages can scan it without building it again.
+    """
+
     instance: object
     x: tuple
     threshold: Fraction
+    family: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         xs = tuple(Fraction(v) for v in self.x)
@@ -239,62 +256,101 @@ def check_kc(instance, x, cut, edge_set, requirement=None):
 # ---------------------------------------------------------------------------
 # separation
 
-def _candidate_edge_sets(crossing, x, threshold):
-    """Nested prefixes of the crossing edges by decreasing x, plus the
-    nearly-integral subset.  Empty set included."""
-    order = sorted(crossing, key=lambda e: (-x[e], e))
+def _scaled(family, x):
+    """(num, den, caps) for one round: x_e = num[e] / den with den the lcm
+    of x's denominators, and caps[i] = den times family row i's capacity
+    under uhat = u * x, all integers."""
+    num, den = over_common_denominator(x)
+    caps, _ = family.capacities([e.capacity * v for e, v in zip(family.instance.edges, num)])
+    return num, den, caps
+
+
+def _candidate_edge_sets(crossing, num, frozen):
+    """Nested prefixes of the crossing edges by decreasing x (given as
+    numerators over one denominator), plus the crossing edges in the
+    nearly-integral set `frozen`.  Empty set included."""
+    order = sorted(crossing, key=lambda e: (-num[e], e))
     cands = [()]
     seen = {()}
     prefix = []
     for i, e in enumerate(order):
         prefix.append(e)
-        if i + 1 < len(order) and x[order[i + 1]] == x[e]:
+        if i + 1 < len(order) and num[order[i + 1]] == num[e]:
             continue  # split only at distinct x values
         key = tuple(sorted(prefix))
         if key not in seen:
             seen.add(key)
             cands.append(key)
-    frozen = tuple(sorted(e for e in crossing if x[e] >= threshold))
-    if frozen not in seen:
-        cands.append(frozen)
+    kept = tuple(e for e in crossing if e in frozen)  # crossing is ascending
+    if kept not in seen:
+        cands.append(kept)
     return cands
 
 
-def _cover_row(family, i, edge_set, x, clamp=True):
-    """(slack, row, edge_set, rhs, coefficients) of the cover row of
-    family row i with `edge_set` (a sorted tuple) taken as bought; a
-    negative slack means x violates it."""
-    rhs, coeffs = _kc_terms(
-        family.instance, family.crossing[i], edge_set, family.requirement[i], clamp
-    )
-    return sum((c * x[e] for e, c in coeffs), Fraction(0)) - rhs, i, edge_set, rhs, coeffs
+def _row_terms(family, i, edge_set, clamp=True):
+    """(rhs, coefficients) of family row i's cover row with `edge_set`
+    (a sorted tuple) taken as bought."""
+    return _kc_terms(family.instance, family.crossing[i], edge_set, family.requirement[i], clamp)
 
 
-def _violations(family, capacities, variant, x, kc):
-    """The violated rows, as _cover_row tuples.
+def _scaled_slack(rhs, coeffs, num, den):
+    """den times the slack of the row coeffs.x >= rhs at x = num / den;
+    negative means x violates it."""
+    return sum([c * num[e] for e, c in coeffs]) - rhs * den
+
+
+def _plain_slacks(family, rows, num, den, clamp):
+    """_scaled_slack of each listed row's plain cut row (nothing taken as
+    bought), summed per row over one weight list per demand."""
+    u = [e.capacity for e in family.instance.edges]
+    weights = {}
+    out = []
+    for i in rows:
+        need = family.requirement[i]
+        key = need if clamp else None
+        weight = weights.get(key)
+        if weight is None:
+            coeffs = [min(c, need) for c in u] if clamp else u
+            weight = weights[key] = [c * v for c, v in zip(coeffs, num)].__getitem__
+        out.append(sum(map(weight, family.crossing[i])) - need * den)
+    return out
+
+
+def _frozen(variant, num, den):
+    """The nearly-integral edges: x_e = num[e] / den at or above the threshold."""
+    t = variant.threshold
+    return {e for e, v in enumerate(num) if v * t.denominator >= t.numerator * den}
+
+
+def _violations(family, variant, num, den, caps, kc):
+    """The violated rows at x = num / den (see _scaled), as (slack, row,
+    edge_set) with the slack scaled by den as in _scaled_slack.
 
     First the rows whose capacity under uhat misses their demand, as
     plain cut rows (clamped when `kc`).  When there are none and `kc` is
     set, the violated cover rows of the small rows (VariantRecord.small)
-    over their _candidate_edge_sets.
+    over their _candidate_edge_sets.  No row's terms are kept: the caller
+    builds them (_row_terms) for the rows it adds to the pool.
     """
-    rows = list(zip(capacities, family.requirement))
-    short = [_cover_row(family, i, (), x, kc) for i, (cap, need) in enumerate(rows) if cap < need]
+    rows = list(zip(caps, family.requirement))
+    short = [i for i, (cap, need) in enumerate(rows) if cap < need * den]
     if short or not kc:
-        return short
+        return [(v, i, ()) for i, v in zip(short, _plain_slacks(family, short, num, den, kc))]
+    frozen = _frozen(variant, num, den)
     out = []
     for i, (cap, need) in enumerate(rows):
-        if need and variant.small(cap, need):
-            for cand in _candidate_edge_sets(family.crossing[i], x, variant.threshold):
-                v = _cover_row(family, i, cand, x)
-                if v[0] < 0:
-                    out.append(v)
+        if need and variant.small(cap, need, den):
+            for cand in _candidate_edge_sets(family.crossing[i], num, frozen):
+                v = _scaled_slack(*_row_terms(family, i, cand), num, den)
+                if v < 0:
+                    out.append((v, i, cand))
     return out
 
 
-def _constraint(family, uhat, v):
-    """The KCConstraint of a _cover_row tuple, its cut measured under uhat."""
-    _, i, edge_set, rhs, coeffs = v
+def _constraint(family, uhat, i, edge_set, clamp=True):
+    """Family row i's KCConstraint with `edge_set` taken as bought, its
+    cut measured under uhat."""
+    rhs, coeffs = _row_terms(family, i, edge_set, clamp)
     return KCConstraint(family.cut(i, uhat), edge_set, family.requirement[i], rhs, coeffs)
 
 
@@ -381,7 +437,7 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
 
     if not any(family.requirement):  # k-way bounds are >= 1, so never k-way
         x = tuple(Fraction(0) for _ in range(instance.m))
-        sol = FractionalSolution(instance, x, variant.threshold)
+        sol = FractionalSolution(instance, x, variant.threshold, family)
         cert = GoodCertificate(variant, 0, Fraction(0), x, (), (), tuple(deviations))
         return sol, cert
 
@@ -395,29 +451,34 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
         rounds += 1
         if pool:
             x, _ = solve_box_covering_lp(costs, lp_rows)
-        uhat = fractional_capacity(instance, x)
-        found = _violations(family, family.capacities(uhat), variant, x, kc)
+        num, den, caps = _scaled(family, x)
+        found = _violations(family, variant, num, den, caps, kc)
         if not found:
-            sol = FractionalSolution(instance, tuple(x), variant.threshold)
+            sol = FractionalSolution(instance, tuple(x), variant.threshold, family)
             constraints = tuple(pool.values())
-            slacks = tuple(c.evaluate(sol.x) for c in constraints)
+            slacks = tuple(
+                Fraction(_scaled_slack(c.rhs, c.coefficients, num, den), den) for c in constraints
+            )
             invariant(all(s >= 0 for s in slacks), "a certificate row has negative slack")
             cert = GoodCertificate(
                 variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations)
             )
             return sol, cert
+        # Every slack in `found` is over the same den, so they order as the
+        # slacks themselves do.
+        rank = family.rank
         new = sorted(
             (v for v in found if (v[1], v[2]) not in pool),
-            key=lambda v: (v[0], family.sort_key(v[1]), v[2]),
+            key=lambda v: (v[0], rank[v[1]], v[2]),
         )
         invariant(new, "separation reported violations but none were new")
-        for v in new[:SEPARATION_BATCH]:
-            _, i, edge_set, rhs, coeffs = v
-            pool[i, edge_set] = _constraint(family, uhat, v)
+        uhat = fractional_capacity(instance, x)
+        for _, i, edge_set in new[:SEPARATION_BATCH]:
+            con = pool[i, edge_set] = _constraint(family, uhat, i, edge_set, kc)
             dense = [0] * instance.m
-            for e, c in coeffs:
+            for e, c in con.coefficients:
                 dense[e] = c
-            lp_rows.append((dense, rhs))
+            lp_rows.append((dense, con.rhs))
     raise IterationLimitError("cutting-plane loop exceeded its round cap", tuple(pool.values()))
 
 
@@ -434,16 +495,17 @@ def verify_good(instance, solution, gamma=None):
     )
     family = cut_family(instance)
     uhat = fractional_capacity(instance, x)
-    frozen = tuple(i for i, v in enumerate(x) if v >= variant.threshold)
+    num, den, caps = _scaled(family, x)
+    frozen = tuple(sorted(_frozen(variant, num, den)))
     short, covers = [], []
-    for i, (cap, need) in enumerate(zip(family.capacities(uhat), family.requirement)):
-        if cap < need:
-            con = _constraint(family, uhat, _cover_row(family, i, (), x))
-            short.append(("requirement", con.describe()))
-        if need and variant.small(cap, need):
-            slack = _cover_row(family, i, frozen, x)[0]
+    for i, (cap, need) in enumerate(zip(caps, family.requirement)):
+        if cap < need * den:
+            short.append(("requirement", _constraint(family, uhat, i, ()).describe()))
+        if need and variant.small(cap, need, den):
+            slack = _scaled_slack(*_row_terms(family, i, frozen), num, den)
             if slack < 0:
                 covers.append(
-                    ("knapsack-cover", dict(describe_cut(family.cut(i, uhat)), slack=str(slack)))
+                    ("knapsack-cover",
+                     dict(describe_cut(family.cut(i, uhat)), slack=str(Fraction(slack, den))))
                 )
     return short + covers

@@ -24,7 +24,6 @@ lexicographically least optimum survives ties.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,7 +45,7 @@ from .graphs import (
 )
 from .kclp import FractionalSolution, variant_for
 from .multicopy import baseline_independent_pairs
-from .util import ceil_div
+from .util import ceil_div, over_common_denominator
 
 SUBSET_EDGE_LIMIT = 24
 MULTICOPY_EDGE_LIMIT = 12
@@ -95,8 +94,7 @@ def _search(rows, costs, caps, bound, order, warm, leaf_key):
     undecided (at zero copies).  Returns (cost, key, nodes explored).
     """
     m = len(costs)
-    scale = math.lcm(*(c.denominator for c in costs))
-    price = [c.numerator * (scale // c.denominator) for c in costs]
+    price, scale = over_common_denominator(costs)
     rank = [0] * m
     for i, e in enumerate(order):
         rank[e] = i
@@ -639,7 +637,7 @@ def gen_random(
         if levels < 1 or levels + 1 > n:
             raise ValueError("levels must fit the vertex count")
         w = capacity_weighting(skeleton)
-        floors = [min(CutFamily(skeleton, (j,)).capacities(w)) for j in range(2, levels + 2)]
+        floors = [min(CutFamily(skeleton, (j,)).capacities(w)[0]) for j in range(2, levels + 2)]
         rs = []
         prev = 1
         for mc in floors:

@@ -96,8 +96,11 @@ def round_solution(solution, seed=0):
         raise TypeError("round_solution expects a FractionalSolution")
     instance = solution.instance
     scale = 1 / solution.threshold
-    # Only the k-way check scans the cut family; build it once for every draw.
-    family = cut_family(instance) if isinstance(instance.requirements, KWay) else None
+    # Only the k-way check scans the cut family: the solve's, or one built
+    # here for every draw.
+    family = None
+    if isinstance(instance.requirements, KWay):
+        family = cut_family(instance) if solution.family is None else solution.family
     attempts = []
     for t in range(MAX_ATTEMPTS):
         attempt_seed = derive_seed(seed, t)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +40,14 @@ def floor_log2(value: Fraction) -> int:
 
 def pow2(h: int) -> Fraction:
     return Fraction(1 << h) if h >= 0 else Fraction(1, 1 << (-h))
+
+
+def over_common_denominator(values):
+    """(numerators, den): each rational in `values` as an integer over
+    den, the lcm of their denominators (1 for integers)."""
+    values = [v if type(v) is int else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -178,10 +178,15 @@ def test_cut_family_sort_key_lists_the_cut(sizes, directed):
         inst = Instance(inst.n, inst.edges, Pairs(((0, 4, 1),)), directed=True)
     family = CutFamily(inst, sizes)
     w = capacity_weighting(inst)
+    keys = []
     for i in range(len(family.shapes)):
         cut = family.cut(i, w)
-        blocks = cut.parts if sizes else (cut.side,)
-        assert family.sort_key(i) == tuple(tuple(sorted(b)) for b in blocks)
+        keys.append(tuple(tuple(sorted(b)) for b in (cut.parts if sizes else (cut.side,))))
+    # rank orders the rows as their cuts' parts (or side) do, as vertex tuples.
+    assert sorted(family.rank) == list(range(len(keys)))
+    assert sorted(range(len(keys)), key=family.rank.__getitem__) == sorted(
+        range(len(keys)), key=keys.__getitem__
+    )
 
 
 def test_fractional_capacity_scales_flows():

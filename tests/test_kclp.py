@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from capnet import kclp
 from capnet.errors import CapabilityError, InfeasibleError
 from capnet.graphs import (
     CutFamily,
@@ -17,6 +18,7 @@ from capnet.graphs import (
     Uniform,
     capacity_weighting,
     check_feasible,
+    cut_family,
     cut_from_side,
     fractional_capacity,
 )
@@ -36,6 +38,7 @@ from capnet.oracle import (
     gen_single_pair_gap,
     gen_triangle_gap,
 )
+from capnet.rounding import round_solution
 from capnet.util import log2_fixed
 
 from conftest import brute_feasible
@@ -300,8 +303,114 @@ def test_solve_good_builds_the_kway_family_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CutFamily, "__init__", counting_init)
-    solve_good(inst)
+    sol, _ = solve_good(inst)
+    report = round_solution(sol, seed=1000)  # reads the family the solve built
     assert len(built) == 1
+    # A solution without the solve's family still rounds the same way.
+    bare = FractionalSolution(inst, sol.x, sol.threshold)
+    assert bare == sol
+    assert round_solution(bare, seed=1000) == report
+    assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# integer separation against the Fraction separation it replaced
+
+def _ref_candidate_edge_sets(crossing, x, threshold):
+    order = sorted(crossing, key=lambda e: (-x[e], e))
+    cands = [()]
+    seen = {()}
+    prefix = []
+    for i, e in enumerate(order):
+        prefix.append(e)
+        if i + 1 < len(order) and x[order[i + 1]] == x[e]:
+            continue
+        key = tuple(sorted(prefix))
+        if key not in seen:
+            seen.add(key)
+            cands.append(key)
+    frozen = tuple(sorted(e for e in crossing if x[e] >= threshold))
+    if frozen not in seen:
+        cands.append(frozen)
+    return cands
+
+
+def _ref_cover_row(family, i, edge_set, x, clamp=True):
+    rhs, coeffs = kclp._kc_terms(
+        family.instance, family.crossing[i], edge_set, family.requirement[i], clamp
+    )
+    return sum((c * x[e] for e, c in coeffs), Fraction(0)) - rhs, i, edge_set, rhs, coeffs
+
+
+def _ref_violations(family, variant, x, kc):
+    """The violation scan on Fractions, row capacities summed under uhat."""
+    uhat = fractional_capacity(family.instance, x)
+    capacities = [sum((uhat[e] for e in c), Fraction(0)) for c in family.crossing]
+    rows = list(zip(capacities, family.requirement))
+    short = [
+        _ref_cover_row(family, i, (), x, kc) for i, (cap, need) in enumerate(rows) if cap < need
+    ]
+    if short or not kc:
+        return short
+    bound = variant.small_bound
+    out = []
+    for i, (cap, need) in enumerate(rows):
+        if need and cap <= (2 * need if bound is None else bound):
+            for cand in _ref_candidate_edge_sets(family.crossing[i], x, variant.threshold):
+                v = _ref_cover_row(family, i, cand, x)
+                if v[0] < 0:
+                    out.append(v)
+    return out
+
+
+def _ref_sort_key(family, i):
+    shape = family.shapes[i]
+    blocks = range(max(shape) + 1) if family.kway else (1,)
+    return tuple(tuple(v for v, b in enumerate(shape) if b == k) for k in blocks)
+
+
+SEPARATION_CASES = [  # (kind, n, m, seed, extra): 40 uniform, 30 k-way, 30 pairs
+    (kind, n, m, base + s, extra)
+    for kind, base, extra, sizes in (
+        ("uniform", 3000, {}, [(5, 7), (6, 9), (7, 11), (8, 12)] * 10),
+        ("kway", 3100, {"levels": 2}, [(5, 8), (6, 9), (7, 10)] * 10),
+        ("pairs", 3200, {"pairs": 3}, [(5, 7), (6, 9), (8, 12)] * 10),
+    )
+    for s, (n, m) in enumerate(sizes)
+]
+
+
+def test_integer_separation_matches_the_fraction_scan(monkeypatch):
+    assert len(SEPARATION_CASES) >= 100
+    scaled = kclp._scaled
+    compared = 0
+    for kind, n, m, seed, extra in SEPARATION_CASES:
+        inst = gen_random(kind, n, m, seed, **extra)
+        rounds = []
+
+        def recording(family, x):
+            rounds.append(tuple(x))
+            return scaled(family, x)
+
+        monkeypatch.setattr(kclp, "_scaled", recording)
+        solve_good(inst)
+        monkeypatch.setattr(kclp, "_scaled", scaled)
+        family, variant = cut_family(inst), variant_for(inst)
+        middle = rounds[len(rounds) // 2]
+        for x, kc in ((middle, True), (rounds[-1], True), (middle, False)):
+            num, den, caps = scaled(family, x)
+            got = kclp._violations(family, variant, num, den, caps, kc)
+            ref = _ref_violations(family, variant, x, kc)
+            assert [(i, a, *kclp._row_terms(family, i, a, kc)) for _, i, a in got] == [
+                v[1:] for v in ref
+            ], (kind, seed)
+            assert [v[0] for v in got] == [v[0] * den for v in ref], (kind, seed)
+            # The pool takes rows in this order: by slack, then by cut.
+            ours = sorted(got, key=lambda v: (v[0], family.rank[v[1]], v[2]))
+            theirs = sorted(ref, key=lambda v: (v[0], _ref_sort_key(family, v[1]), v[2]))
+            assert [v[1:3] for v in ours] == [v[1:3] for v in theirs], (kind, seed)
+            compared += bool(ref)
+    assert compared >= 100  # most scans found violations to compare
 
 
 def test_capability_guards():
