@@ -51,9 +51,13 @@ def _bipartitions(instance, weighting):
     return (family, *family.capacities(weighting))
 
 
-def _cuts_within(family, sums, weighting, bound):
+def _capacity(total, den):
+    return total if den == 1 else Fraction(total, den)
+
+
+def _cuts_within(family, sums, den, bound):
     # `bound` is over the same denominator as `sums`.
-    cuts = [family.cut(i, weighting) for i, cap in enumerate(sums) if cap <= bound]
+    cuts = [family.cut(i, _capacity(cap, den)) for i, cap in enumerate(sums) if cap <= bound]
     cuts.sort(key=lambda c: (c.capacity, sorted(c.side)))
     return tuple(cuts)
 
@@ -61,7 +65,7 @@ def _cuts_within(family, sums, weighting, bound):
 def enumerate_cuts_within(instance, weighting, bound):
     """All canonical cuts of capacity <= bound, by exhaustive scan (n <= 16)."""
     family, sums, den = _bipartitions(instance, weighting)
-    return _cuts_within(family, sums, weighting, bound * den)
+    return _cuts_within(family, sums, den, bound * den)
 
 
 def enumerate_near_min_cuts(instance, weighting, alpha):
@@ -81,8 +85,8 @@ def enumerate_near_min_cuts(instance, weighting, alpha):
     least = min(sums)
     if least <= 0:
         raise DisconnectedError("minimum cut is zero; relative enumeration is undefined")
-    cuts = _cuts_within(family, sums, weighting, alpha * least)
-    pool = CutPool(cuts, alpha, least if den == 1 else Fraction(least, den))
+    cuts = _cuts_within(family, sums, den, alpha * least)
+    pool = CutPool(cuts, alpha, _capacity(least, den))
     invariant(_count_within_bound(len(pool.cuts), n, 2 * alpha), "cut-count bound exceeded")
     return pool
 
@@ -100,14 +104,14 @@ def enumerate_near_min_kway_cuts(instance, weighting, parts, alpha):
     if instance.directed:
         raise ValueError("multiway cut enumeration works on undirected instances")
     family = CutFamily(instance, (parts,))
-    sums, _ = family.capacities(weighting)
+    sums, den = family.capacities(weighting)
     best = min(sums)
     if best <= 0:
         raise DisconnectedError("minimum multiway cut is zero; relative enumeration is undefined")
     bound = alpha * best  # both over the capacities' common denominator
     kept = tuple(
         sorted(
-            (family.cut(i, weighting) for i, cap in enumerate(sums) if cap <= bound),
+            (family.cut(i, _capacity(cap, den)) for i, cap in enumerate(sums) if cap <= bound),
             key=lambda c: (c.capacity, [sorted(p) for p in c.parts]),
         )
     )

@@ -331,12 +331,17 @@ class CutFamily:
             rank[i] = position
         return rank
 
-    def cut(self, i, weighting):
-        """Row i as a KWayCut (partition rows) or a Cut."""
+    def cut(self, i, capacity):
+        """Row i as a KWayCut (partition rows) or a Cut, with the
+        capacity the caller measured for it."""
         shape = self.shapes[i]
-        if self.kway:
-            return kway_cut_from_assignment(self.instance, weighting, shape)
-        return cut_from_side(self.instance, weighting, [v for v, b in enumerate(shape) if b])
+        if self.kway:  # block k's least vertex grows with k, as KWayCut orders parts
+            parts = tuple(
+                frozenset(v for v, b in enumerate(shape) if b == k) for k in range(max(shape) + 1)
+            )
+            return KWayCut(parts, self.crossing[i], capacity)
+        side = frozenset(v for v, b in enumerate(shape) if b)
+        return Cut(side, self.crossing[i], capacity, self.instance.directed)
 
 
 def cut_family(instance):
@@ -502,7 +507,7 @@ def check_feasible(instance, edge_subset, family=None):
         family = cut_family(instance) if family is None else family
         for i, (cap, need) in enumerate(zip(family.capacities(w)[0], family.requirement)):
             if cap < need:
-                return FeasibilityResult(False, family.cut(i, w))
+                return FeasibilityResult(False, family.cut(i, cap))
         return FeasibilityResult(True)
 
     raise TypeError(f"unknown requirement type {type(req).__name__}")

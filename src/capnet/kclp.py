@@ -347,11 +347,12 @@ def _violations(family, variant, num, den, caps, kc):
     return out
 
 
-def _constraint(family, uhat, i, edge_set, clamp=True):
+def _constraint(family, den, caps, i, edge_set, clamp=True):
     """Family row i's KCConstraint with `edge_set` taken as bought, its
-    cut measured under uhat."""
+    cut of capacity caps[i] / den under uhat (see _scaled)."""
     rhs, coeffs = _row_terms(family, i, edge_set, clamp)
-    return KCConstraint(family.cut(i, uhat), edge_set, family.requirement[i], rhs, coeffs)
+    cut = family.cut(i, Fraction(caps[i], den))
+    return KCConstraint(cut, edge_set, family.requirement[i], rhs, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +473,8 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
             key=lambda v: (v[0], rank[v[1]], v[2]),
         )
         invariant(new, "separation reported violations but none were new")
-        uhat = fractional_capacity(instance, x)
         for _, i, edge_set in new[:SEPARATION_BATCH]:
-            con = pool[i, edge_set] = _constraint(family, uhat, i, edge_set, kc)
+            con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
             dense = [0] * instance.m
             for e, c in con.coefficients:
                 dense[e] = c
@@ -494,18 +494,15 @@ def verify_good(instance, solution, gamma=None):
         Fraction(v) for v in solution
     )
     family = cut_family(instance)
-    uhat = fractional_capacity(instance, x)
     num, den, caps = _scaled(family, x)
     frozen = tuple(sorted(_frozen(variant, num, den)))
     short, covers = [], []
     for i, (cap, need) in enumerate(zip(caps, family.requirement)):
         if cap < need * den:
-            short.append(("requirement", _constraint(family, uhat, i, ()).describe()))
+            short.append(("requirement", _constraint(family, den, caps, i, ()).describe()))
         if need and variant.small(cap, need, den):
             slack = _scaled_slack(*_row_terms(family, i, frozen), num, den)
             if slack < 0:
-                covers.append(
-                    ("knapsack-cover",
-                     dict(describe_cut(family.cut(i, uhat)), slack=str(Fraction(slack, den))))
-                )
+                cut = describe_cut(family.cut(i, Fraction(cap, den)))
+                covers.append(("knapsack-cover", dict(cut, slack=str(Fraction(slack, den)))))
     return short + covers

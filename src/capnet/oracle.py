@@ -12,14 +12,15 @@ Both oracles run one branch and bound over bounded copy vectors
 in cost-descending order, while the copy oracle bounds edge e by
 ceil(max need / u(e)) and decides edges in index order.  Counts branch
 ascending, so a subset tries excluding an edge first.  Costs are scaled
-once to integers by the lcm of their denominators, and each row keeps its
-gap (need - chosen) and its slack (chosen + open - need), updated only on
-the rows of the edge being decided.  Pruning uses a fractional covering
-lower bound: the cheapest fill of the first most deficient row from its
-undecided lots, each lot being an edge at its full bound, taken in order
-of cost per capacity, then cost, then index.  The bound never
-overestimates, so only strictly-worse branches die and the
-lexicographically least optimum survives ties.
+once to integers by the lcm of their denominators.  Each row keeps its
+gap (need - chosen), updated only on the rows of the edge being decided,
+and its slack (chosen + open - need), one fixed-width field of a single
+integer that deciding an edge updates in one addition.  Pruning uses a
+fractional covering lower bound: the cheapest fill of the first most
+deficient row from its undecided lots, each lot being an edge at its
+full bound, taken in order of cost per capacity, then cost, then index.
+The bound never overestimates, so only strictly-worse branches die and
+the lexicographically least optimum survives ties.
 """
 
 from __future__ import annotations
@@ -101,7 +102,19 @@ def _search(rows, costs, caps, bound, order, warm, leaf_key):
     rows_of = _rows_of(rows, m)
     span = [bound[e] * caps[e] for e in range(m)]
     gap = [need for _, need in rows]
-    slack = [sum(span[e] for e in key) - need for key, need in rows]
+    # Each row's slack lies in [-need, sum of spans].  Offset by `bias`,
+    # every slack is one `width`-bit field of the integer `packed`, so
+    # deciding an edge moves all of its rows' slacks in one addition
+    # (`step[e]` is u(e) on each of them), and a row is short exactly
+    # when its field lacks the bias bit.
+    bias = 1 << max(max(need for _, need in rows), sum(span)).bit_length()
+    width = bias.bit_length() + 1
+    packed = sum(
+        (sum(span[e] for e in key) - need + bias) << (width * r)
+        for r, (key, need) in enumerate(rows)
+    )
+    high = sum(bias << (width * r) for r in range(len(rows)))
+    step = [sum(caps[e] << (width * r) for r in rs) for e, rs in enumerate(rows_of)]
     # One lot per edge, its full bound: (rank, cost, capacity).  Each row
     # lists its lots in fill order, sharing the tuples.
     lot = [(rank[e], price[e] * bound[e], span[e]) for e in range(m)]
@@ -117,9 +130,9 @@ def _search(rows, costs, caps, bound, order, warm, leaf_key):
     explored = 0
 
     def descend(pos, cost):
-        nonlocal best, best_key, explored
+        nonlocal best, best_key, explored, packed
         explored += 1
-        if min(slack) < 0:
+        if packed & high != high:
             return  # some row is short even with every open copy bought
         worst = max(gap)
         if worst <= 0:
@@ -142,14 +155,13 @@ def _search(rows, costs, caps, bound, order, warm, leaf_key):
                 worst -= u
                 room -= c
         e = order[pos]
-        cap, full, rs = caps[e], span[e], rows_of[e]
-        for r in rs:
-            slack[r] -= full
+        cap, full, rs, one = caps[e], span[e], rows_of[e], step[e]
+        packed -= bound[e] * one
         descend(pos + 1, cost)
         for count in range(1, bound[e] + 1):
             for r in rs:
                 gap[r] -= cap
-                slack[r] += cap
+            packed += one
             current[e] = count
             descend(pos + 1, cost + price[e] * count)
         current[e] = 0

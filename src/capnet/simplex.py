@@ -34,8 +34,9 @@ integer cross products instead of Fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .util import over_common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,16 +62,12 @@ def solve_box_covering_lp(costs, rows):
     for coeffs, rhs in rows:
         if len(coeffs) != m:
             raise ValueError("row width does not match variable count")
-        coeffs = [v if type(v) is int else Fraction(v) for v in coeffs]
-        rhs = rhs if type(rhs) is int else Fraction(rhs)
-        scale = math.lcm(rhs.denominator, *(v.denominator for v in coeffs))
-        ints = [v.numerator * (scale // v.denominator) for v in coeffs]
-        slack = sum(ints) - rhs.numerator * (scale // rhs.denominator)
+        *ints, scaled_rhs = over_common_denominator([*coeffs, rhs])[0]
+        slack = sum(ints) - scaled_rhs
         if slack < 0:
             raise ValueError("row not satisfied at x = 1; constraint pool is inconsistent")
         tab.append([-v for v in ints] + [slack])
-    scale = math.lcm(*(c.denominator for c in costs))
-    zrow = [c.numerator * (scale // c.denominator) for c in costs]  # scale * D * reduced costs
+    zrow, _ = over_common_denominator(costs)  # scale * D * reduced costs
 
     r = len(rows)
     den = 1

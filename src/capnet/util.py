@@ -45,6 +45,9 @@ def pow2(h: int) -> Fraction:
 def over_common_denominator(values):
     """(numerators, den): each rational in `values` as an integer over
     den, the lcm of their denominators (1 for integers)."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     values = [v if type(v) is int else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -178,9 +178,14 @@ def test_cut_family_sort_key_lists_the_cut(sizes, directed):
         inst = Instance(inst.n, inst.edges, Pairs(((0, 4, 1),)), directed=True)
     family = CutFamily(inst, sizes)
     w = capacity_weighting(inst)
+    sums, _ = family.capacities(w)
     keys = []
-    for i in range(len(family.shapes)):
-        cut = family.cut(i, w)
+    for i, shape in enumerate(family.shapes):
+        cut = family.cut(i, sums[i])
+        if sizes:
+            assert cut == kway_cut_from_assignment(inst, w, shape)
+        else:
+            assert cut == cut_from_side(inst, w, {v for v, b in enumerate(shape) if b})
         keys.append(tuple(tuple(sorted(b)) for b in (cut.parts if sizes else (cut.side,))))
     # rank orders the rows as their cuts' parts (or side) do, as vertex tuples.
     assert sorted(family.rank) == list(range(len(keys)))
