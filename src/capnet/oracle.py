@@ -3,9 +3,11 @@
 The oracles answer "what is the true optimum" on instances small enough
 to enumerate, so the approximate solvers have something honest to be
 measured against.  Feasibility is encoded once as covering rows, one per
-relevant cut: a subset (or copy vector) is feasible exactly when every
-row's selected capacity meets its demand, which agrees with the max-flow
-characterization used elsewhere because min cut equals max flow.
+inclusion-minimal cut constraint: a subset (or copy vector) is feasible
+exactly when every row's selected capacity meets its demand, which
+agrees with the max-flow characterization used elsewhere because min cut
+equals max flow.  A cut whose edges contain another row's, at no larger
+demand, is covered whenever that row is, so it gets no row.
 
 Both oracles run one branch and bound over bounded copy vectors
 (`_search`): an edge subset is a copy vector bounded by 1, deciding edges
@@ -57,19 +59,30 @@ ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 # covering rows: feasibility as capacity constraints, one row per cut
 
 def constraint_rows(instance):
-    """All binding cut constraints as (edge index tuple, demand) rows.
+    """The inclusion-minimal cut constraints as (edge index tuple, demand)
+    rows, sorted.
 
     A subset is feasible iff every row's capacity under the subset meets
     its demand; likewise a copy vector with capacities copies(e) * u(e).
-    Rows with identical edge sets merge, keeping the largest demand.  The
-    rows come from the instance's cut family, so n <= 16 (10 for k-way).
+    Rows with identical edge sets merge, keeping the largest demand, and
+    a row (B, need) is dropped when some row (A, need') with A a subset
+    of B and need' >= need implies it: whatever covers the kept rows
+    covers every cut.  The rows come from the instance's cut family, so
+    n <= 16 (10 for k-way).
     """
     rows = {}
     family = cut_family(instance)
     for key, need in zip(family.crossing, family.requirement):
         if need > rows.get(key, 0):
             rows[key] = need
-    return tuple(sorted(rows.items()))
+    # Two distinct keys of one size never contain each other, so a row
+    # can only be implied by a smaller one, kept or implied in turn.
+    kept = []
+    for key, need in sorted(rows.items(), key=lambda row: len(row[0])):
+        mask = sum(1 << e for e in key)
+        if all(a & mask != a or nd < need for a, nd, _ in kept):
+            kept.append((mask, need, key))
+    return tuple(sorted((key, need) for _, need, key in kept))
 
 
 # ---------------------------------------------------------------------------

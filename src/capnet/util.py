@@ -82,21 +82,18 @@ def iter_partitions(n: int, blocks: int):
 
     Partitions are emitted as restricted-growth assignment tuples: vertex 0
     always sits in part 0 and each new part index appears in vertex order,
-    so every partition shows up exactly once.
+    so every partition shows up exactly once, in lexicographic order.  The
+    prefixes grow one vertex at a time, each extended by the parts it may
+    take next in ascending order; a prefix that leaves too few vertices to
+    open the remaining parts is dropped.
     """
     if blocks < 1 or blocks > n:
         return
-    assign = [0] * n
-
-    def rec(v, used):
-        if n - v < blocks - used:
-            return
-        if v == n:
-            if used == blocks:
-                yield tuple(assign)
-            return
-        for b in range(min(used + 1, blocks)):
-            assign[v] = b
-            yield from rec(v + 1, used + 1 if b == used else used)
-
-    yield from rec(1, 1)
+    level = [((0,), 1)]  # (prefix, parts it uses)
+    for v in range(1, n):
+        room = n - 1 - v - blocks  # vertices after v, less the parts
+        step = [[((b,), max(u, b + 1)) for b in range(min(u + 1, blocks)) if room + max(u, b + 1) >= 0]
+                for u in range(blocks + 1)]
+        level = [(a + b, w) for a, u in level for b, w in step[u]]
+    for a, _ in level:
+        yield a

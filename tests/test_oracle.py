@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from capnet import oracle
 from capnet.errors import CapabilityError, InfeasibleError, InstanceFormatError
 from capnet.graphs import (
     Edge,
@@ -14,6 +15,7 @@ from capnet.graphs import (
     Pairs,
     Uniform,
     check_feasible,
+    cut_family,
     instance_to_dict,
     serialize_instance,
 )
@@ -377,10 +379,114 @@ def test_copy_search_matches_the_reference_tree():
 
 def test_node_counts_are_pinned():
     # The benchmark's anchor and the pairs-multicopy tail instance: a
-    # changed count means a changed search tree.
+    # changed count means a changed search tree.  The tail read 56,763
+    # nodes over every merged cut row; over the inclusion-minimal rows
+    # its fill follows a different most deficient row.
     assert exact_optimum(gen_random("uniform", 12, 24, 7)).explored == 2961
     tail = gen_random("pairs", 8, 12, 1004, pairs=3)
-    assert exact_optimum_multicopy(tail).explored == 56763
+    assert exact_optimum_multicopy(tail).explored == 26951
+
+
+# ---------------------------------------------------------------------------
+# the inclusion-minimal rows against every merged cut row
+#
+# _merged_rows is constraint_rows without the reduction: one row per
+# distinct crossing edge set of the cut family, at its largest demand.
+# Covering the minimal rows is covering them all, so searching either
+# row set must give the same optimum.
+
+def _merged_rows(instance):
+    rows = {}
+    family = cut_family(instance)
+    for key, need in zip(family.crossing, family.requirement):
+        if need > rows.get(key, 0):
+            rows[key] = need
+    return tuple(sorted(rows.items()))
+
+
+def _implies(row, other):
+    (a, need_a), (b, need_b) = row, other
+    return set(a) <= set(b) and need_a >= need_b
+
+
+def _every_kind(seed, n, m):
+    """Seeded instances of each kind in turn: uniform, k-way, pairs and
+    directed pairs."""
+    kind = seed % 4
+    if kind == 0:
+        return gen_random("uniform", n, m, seed)
+    if kind == 1:
+        return gen_random("kway", n, m, seed, levels=2)
+    inst = gen_random("pairs", n, m, seed, pairs=2)
+    return replace(inst, directed=True) if kind == 3 else inst
+
+
+def _inflated(instance, factor):
+    """The instance with every demand multiplied by `factor`."""
+    req = instance.requirements
+    if isinstance(req, Uniform):
+        req = Uniform(req.R * factor)
+    elif isinstance(req, KWay):
+        req = KWay(tuple(r * factor for r in req.Rs))
+    else:
+        req = Pairs(tuple((s, t, r * factor) for s, t, r in req.pairs))
+    return replace(instance, requirements=req)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rows_are_exactly_the_minimal_implied_set(seed):
+    inst = _every_kind(seed, 5 + seed % 3, 9 + seed % 4)
+    merged = _merged_rows(inst)
+    rows = constraint_rows(inst)
+    assert list(rows) == sorted(rows)
+    assert set(rows) <= set(merged)
+    for row in merged:
+        assert any(_implies(kept, row) for kept in rows), row
+    for kept in rows:
+        assert not any(_implies(other, kept) for other in rows if other != kept), kept
+
+
+def _outcome(search, instance):
+    """(cost, tuple) of a public oracle's optimum, or InfeasibleError."""
+    try:
+        opt = search(instance)
+    except InfeasibleError:
+        return InfeasibleError
+    return opt.cost, opt.edges if search is exact_optimum else opt.copies
+
+
+def _outcomes_both_ways(search, instance, monkeypatch):
+    """The oracle's outcome over the minimal rows, then with its search
+    run over every merged cut row instead."""
+    minimal = _outcome(search, instance)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "constraint_rows", _merged_rows)
+        return minimal, _outcome(search, instance)
+
+
+def test_subset_oracle_matches_a_search_over_every_merged_row(monkeypatch):
+    infeasible = 0
+    for seed in range(100):
+        inst = _mixed_costs(_every_kind(seed, 6, 10), seed)
+        if seed % 5 == 4:
+            inst = _inflated(inst, 3)
+        minimal, merged = _outcomes_both_ways(exact_optimum, inst, monkeypatch)
+        assert minimal == merged, seed
+        infeasible += minimal is InfeasibleError
+    assert 10 <= infeasible <= 60
+
+
+def test_copy_oracle_matches_a_search_over_every_merged_row(monkeypatch):
+    infeasible = 0
+    for seed in range(50):
+        inst = _mixed_costs(gen_random("pairs", 5, 8, seed, pairs=2, demand_cap=6), seed)
+        if seed % 5 == 4:  # cut the first pair's sink off
+            t = inst.requirements.pairs[0][1]
+            inst = replace(inst, edges=tuple(e for e in inst.edges if t not in (e.tail, e.head)))
+        minimal, merged = _outcomes_both_ways(exact_optimum_multicopy, inst, monkeypatch)
+        assert minimal == merged, seed
+        infeasible += minimal is InfeasibleError
+    assert infeasible == 10
 
 
 # ---------------------------------------------------------------------------

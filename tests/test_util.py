@@ -131,3 +131,29 @@ def test_iter_partitions_degenerate():
     assert list(iter_partitions(3, 4)) == []
     assert list(iter_partitions(3, 0)) == []
     assert list(iter_partitions(1, 1)) == [(0,)]
+
+
+def _recursive_partitions(n, blocks):
+    """The recursive restricted-growth generator iter_partitions replaced."""
+    if blocks < 1 or blocks > n:
+        return
+    assign = [0] * n
+
+    def rec(v, used):
+        if n - v < blocks - used:
+            return
+        if v == n:
+            if used == blocks:
+                yield tuple(assign)
+            return
+        for b in range(min(used + 1, blocks)):
+            assign[v] = b
+            yield from rec(v + 1, used + 1 if b == used else used)
+
+    yield from rec(1, 1)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_iter_partitions_matches_the_recursive_order(n):
+    for blocks in range(n + 2):
+        assert list(iter_partitions(n, blocks)) == list(_recursive_partitions(n, blocks)), blocks
