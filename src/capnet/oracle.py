@@ -56,7 +56,7 @@ ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 
 
 # ---------------------------------------------------------------------------
-# covering rows: feasibility as capacity constraints, one row per cut
+# covering rows: feasibility as capacity constraints, one row per minimal cut
 
 def constraint_rows(instance):
     """The inclusion-minimal cut constraints as (edge index tuple, demand)

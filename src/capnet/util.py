@@ -85,14 +85,15 @@ def iter_partitions(n: int, blocks: int):
     so every partition shows up exactly once, in lexicographic order.  The
     prefixes grow one vertex at a time, each extended by the parts it may
     take next in ascending order; a prefix that leaves too few vertices to
-    open the remaining parts is dropped.
+    open the remaining parts is dropped.  Every partition is built before
+    the first is yielded.
     """
     if blocks < 1 or blocks > n:
         return
     level = [((0,), 1)]  # (prefix, parts it uses)
     for v in range(1, n):
-        room = n - 1 - v - blocks  # vertices after v, less the parts
-        step = [[((b,), max(u, b + 1)) for b in range(min(u + 1, blocks)) if room + max(u, b + 1) >= 0]
+        least = blocks - (n - 1 - v)  # parts used through v that leave room for the rest
+        step = [[((b,), w) for b in range(min(u + 1, blocks)) for w in [max(u, b + 1)] if w >= least]
                 for u in range(blocks + 1)]
         level = [(a + b, w) for a, u in level for b, w in step[u]]
     for a, _ in level:
