@@ -379,9 +379,7 @@ def test_copy_search_matches_the_reference_tree():
 
 def test_node_counts_are_pinned():
     # The benchmark's anchor and the pairs-multicopy tail instance: a
-    # changed count means a changed search tree.  The tail read 56,763
-    # nodes over every merged cut row; over the inclusion-minimal rows
-    # its fill follows a different most deficient row.
+    # changed count means a changed search tree.
     assert exact_optimum(gen_random("uniform", 12, 24, 7)).explored == 2961
     tail = gen_random("pairs", 8, 12, 1004, pairs=3)
     assert exact_optimum_multicopy(tail).explored == 26951
