@@ -274,7 +274,9 @@ class CutFamily:
     With `sizes` the rows are the partitions into each listed block
     count, in `iter_partitions` order, and n <= 10.  Scans filter the
     rows by their `capacities` and build Cut or KWayCut objects only for
-    the rows they keep.
+    the rows they keep.  Partition rows often share their crossing edges,
+    so `distinct` lists each crossing tuple once and `groups` each
+    (crossing, requirement) pair once.
     """
 
     def __init__(self, instance, sizes=None):
@@ -310,7 +312,28 @@ class CutFamily:
         denominator den (1 for an integer weighting)."""
         nums, den = over_common_denominator(weighting)
         weight = nums.__getitem__
-        return [sum(map(weight, c)) for c in self.crossing], den
+        crossings, slot = self.distinct
+        sums = [sum(map(weight, c)) for c in crossings]
+        return list(map(sums.__getitem__, slot)), den
+
+    @functools.cached_property
+    def distinct(self):
+        """(crossings, slot): the distinct crossing tuples, in the order
+        of the first row crossing each, and every row's index into them,
+        so crossings[slot[i]] == crossing[i].  Built on first use."""
+        index = {}
+        slot = [index.setdefault(c, len(index)) for c in self.crossing]
+        return tuple(index), slot
+
+    @functools.cached_property
+    def groups(self):
+        """The rows grouped by crossing and requirement: one
+        (slot, requirement, rows) per distinct pair, in the order of its
+        first row, with `rows` ascending.  Built on first use."""
+        index = {}
+        for i, key in enumerate(zip(self.distinct[1], self.requirement)):
+            index.setdefault(key, []).append(i)
+        return [(s, need, rows) for (s, need), rows in index.items()]
 
     @functools.cached_property
     def rank(self):

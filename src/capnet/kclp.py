@@ -30,11 +30,15 @@ appear only there and in the certificate slacks, each its integer slack
 over D.
 
 For step 2 each cut is tested against a nested family of candidate A
-sets, the prefixes of its crossing edges ordered by decreasing x, plus
-the nearly-integral set itself.  The loop stops when nothing is violated,
-which certifies the two exit conditions the rounding step relies on:
-the scaled capacities cover every requirement, and knapsack-cover holds
-on every small cut for the nearly-integral edge set.
+sets: the prefixes of its crossing edges ordered by decreasing x, cut
+only between distinct x values.  The nearly-integral set is among them,
+as {e : x_e >= t} on the crossing is such a prefix or empty.  Rows that
+share their crossing edges and demand get the same tests, so each
+distinct pair is tested once per round and its results listed for each
+of its rows.  The loop stops when nothing is violated, which certifies
+the two exit conditions the rounding step relies on: the scaled
+capacities cover every requirement, and knapsack-cover holds on every
+small cut for the nearly-integral edge set.
 
 An edge counts as nearly integral when x_e >= 1 / (40 lg n) for the
 uniform variant, 1 / (40 k lg n) for the k-way variant, and
@@ -49,6 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InfeasibleError, IterationLimitError, invariant
 from .graphs import (
@@ -265,28 +270,6 @@ def _scaled(family, x):
     return num, den, caps
 
 
-def _candidate_edge_sets(crossing, num, frozen):
-    """Nested prefixes of the crossing edges by decreasing x (given as
-    numerators over one denominator), plus the crossing edges in the
-    nearly-integral set `frozen`.  Empty set included."""
-    order = sorted(crossing, key=lambda e: (-num[e], e))
-    cands = [()]
-    seen = {()}
-    prefix = []
-    for i, e in enumerate(order):
-        prefix.append(e)
-        if i + 1 < len(order) and num[order[i + 1]] == num[e]:
-            continue  # split only at distinct x values
-        key = tuple(sorted(prefix))
-        if key not in seen:
-            seen.add(key)
-            cands.append(key)
-    kept = tuple(e for e in crossing if e in frozen)  # crossing is ascending
-    if kept not in seen:
-        cands.append(kept)
-    return cands
-
-
 def _row_terms(family, i, edge_set, clamp=True):
     """(rhs, coefficients) of family row i's cover row with `edge_set`
     (a sorted tuple) taken as bought."""
@@ -322,29 +305,66 @@ def _frozen(variant, num, den):
     return {e for e, v in enumerate(num) if v * t.denominator >= t.numerator * den}
 
 
+def _cover_walk(crossing, need, u, num, den):
+    """(slack, edge_set) of each violated cover row of a cut with crossing
+    edges `crossing` (ascending) and demand `need`, at x = num / den and
+    capacities u, slacks scaled by den as in _scaled_slack.
+
+    A runs over the prefixes of the crossing edges by decreasing x that
+    end between distinct x values, the empty one first.  The walk keeps
+    the capacity A covers and stops once it meets `need`: from there on
+    the residual demand is 0, and so is every slack.
+    """
+    order = sorted(crossing, key=lambda e: -num[e])  # stable: ties stay ascending
+    out = []
+    covered = 0
+    last = None
+    for j, e in enumerate(order):
+        if num[e] != last:  # order[:j] is a prefix
+            last = num[e]
+            rhs = need - covered
+            if rhs <= 0:
+                return out
+            slack = -rhs * den
+            for k in range(j, len(order)):
+                f = order[k]
+                slack += min(u[f], rhs) * num[f]
+            if slack < 0:
+                out.append((slack, tuple(sorted(order[:j]))))
+        covered += u[e]
+    if covered < need:  # A = the whole crossing leaves demand and no edge to meet it
+        out.append(((covered - need) * den, crossing))
+    return out
+
+
 def _violations(family, variant, num, den, caps, kc):
     """The violated rows at x = num / den (see _scaled), as (slack, row,
-    edge_set) with the slack scaled by den as in _scaled_slack.
+    edge_set) with the slack scaled by den as in _scaled_slack, in row
+    order and, within a row, in candidate order.
 
     First the rows whose capacity under uhat misses their demand, as
     plain cut rows (clamped when `kc`).  When there are none and `kc` is
     set, the violated cover rows of the small rows (VariantRecord.small)
-    over their _candidate_edge_sets.  No row's terms are kept: the caller
+    found by _cover_walk.  Each test runs once per CutFamily.groups
+    entry, for all of its rows.  No row's terms are kept: the caller
     builds them (_row_terms) for the rows it adds to the pool.
     """
-    rows = list(zip(caps, family.requirement))
-    short = [i for i, (cap, need) in enumerate(rows) if cap < need * den]
+    groups = family.groups
+    short = [rows for _, need, rows in groups if caps[rows[0]] < need * den]
     if short or not kc:
-        return [(v, i, ()) for i, v in zip(short, _plain_slacks(family, short, num, den, kc))]
-    frozen = _frozen(variant, num, den)
-    out = []
-    for i, (cap, need) in enumerate(rows):
-        if need and variant.small(cap, need, den):
-            for cand in _candidate_edge_sets(family.crossing[i], num, frozen):
-                v = _scaled_slack(*_row_terms(family, i, cand), num, den)
-                if v < 0:
-                    out.append((v, i, cand))
-    return out
+        slacks = _plain_slacks(family, [rows[0] for rows in short], num, den, kc)
+        return sorted(((v, i, ()) for v, rows in zip(slacks, short) for i in rows),
+                      key=itemgetter(1))
+    crossings = family.distinct[0]
+    u = [e.capacity for e in family.instance.edges]
+    hits = []
+    for s, need, rows in groups:
+        if need and variant.small(caps[rows[0]], need, den):
+            found = _cover_walk(crossings[s], need, u, num, den)
+            if found:
+                hits.extend((i, found) for i in rows)
+    hits.sort(key=itemgetter(0))
+    return [(v, i, a) for i, found in hits for v, a in found]
 
 
 def _constraint(family, den, caps, i, edge_set, clamp=True):

@@ -58,9 +58,11 @@ ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 # ---------------------------------------------------------------------------
 # covering rows: feasibility as capacity constraints, one row per minimal cut
 
-def constraint_rows(instance):
+def constraint_rows(instance, family=None):
     """The inclusion-minimal cut constraints as (edge index tuple, demand)
-    rows, sorted.
+    rows, sorted, read off `family`, which is `cut_family(instance)` and
+    is built when not given.  Raises ValueError for a family of another
+    instance.
 
     A subset is feasible iff every row's capacity under the subset meets
     its demand; likewise a copy vector with capacities copies(e) * u(e).
@@ -70,8 +72,11 @@ def constraint_rows(instance):
     covers every cut.  The rows come from the instance's cut family, so
     n <= 16 (10 for k-way).
     """
+    if family is None:
+        family = cut_family(instance)
+    elif family.instance != instance:
+        raise ValueError("the cut family belongs to another instance")
     rows = {}
-    family = cut_family(instance)
     for key, need in zip(family.crossing, family.requirement):
         if need > rows.get(key, 0):
             rows[key] = need
@@ -195,18 +200,22 @@ class SubsetOptimum:
     explored: int
 
 
-def exact_optimum(instance, force=False):
+def exact_optimum(instance, force=False, family=None):
     """Minimum-cost feasible edge subset by branch and bound.
 
     Capped at m <= 24 unless force=True.  Raises InfeasibleError when
     even the full edge set fails.  Among optima, returns the
-    lexicographically least edge tuple.
+    lexicographically least edge tuple.  `family`, when given, is
+    `cut_family(instance)` as an earlier stage built it (see
+    constraint_rows).
     """
     if instance.m > SUBSET_EDGE_LIMIT and not force:
         raise CapabilityError(
             f"subset search is capped at m = {SUBSET_EDGE_LIMIT}; pass force=True to override"
         )
-    rows = constraint_rows(instance)
+    # Called with the instance alone when no family is given, so a
+    # stand-in constraint_rows(instance) can replace the module's.
+    rows = constraint_rows(instance) if family is None else constraint_rows(instance, family)
     if not rows:
         return SubsetOptimum(Fraction(0), (), 0)
     m = instance.m

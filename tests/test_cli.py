@@ -14,7 +14,14 @@ import pytest
 
 import capnet
 from capnet.cli import CSV_COLUMNS, CSV_SCHEMA, main
-from capnet.graphs import FlowResult, Instance, Uniform, parse_instance, serialize_instance
+from capnet.graphs import (
+    CutFamily,
+    FlowResult,
+    Instance,
+    Uniform,
+    parse_instance,
+    serialize_instance,
+)
 from capnet.oracle import gen_random
 
 
@@ -83,6 +90,22 @@ def test_solve_reports_costs_and_ratio(tmp_path, capsys):
     lp, alg, oracle = (Fraction(row[c]) for c in ("lp_cost", "alg_cost", "oracle_cost"))
     assert lp <= oracle <= alg
     assert Fraction(row["ratio"]) == alg / oracle
+
+
+def test_kway_solve_with_oracle_builds_one_cut_family(tmp_path, capsys, monkeypatch):
+    path = _write_instance(tmp_path, gen_random("kway", n=7, m=11, seed=3, levels=2))
+    built = []
+    init = CutFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    assert main(["solve", path, "--seed", "3", "--oracle"]) == 0
+    rows, _ = _read_report(capsys.readouterr().out)
+    assert rows[0]["oracle_cost"]
+    assert len(built) == 1  # the solve's family serves rounding and the oracle
 
 
 def test_solve_trace_document(tmp_path):

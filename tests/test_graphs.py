@@ -1,6 +1,7 @@
 """Instance model, flows, cuts, feasibility, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,32 @@ def test_cut_family_sort_key_lists_the_cut(sizes, directed):
     assert sorted(range(len(keys)), key=family.rank.__getitem__) == sorted(
         range(len(keys)), key=keys.__getitem__
     )
+
+
+@pytest.mark.parametrize("sizes, directed", [(None, False), (None, True), ((2, 3), False)])
+def test_cut_family_distinct_view_sums_each_row(sizes, directed):
+    # An isolated vertex makes bipartition rows repeat their crossings too.
+    base = gen_random("kway" if sizes else "pairs", n=6, m=9, seed=8, levels=2, pairs=2)
+    inst = Instance(7, base.edges, base.requirements, directed=directed)
+    family = CutFamily(inst, sizes)
+    crossings, slot = family.distinct
+    assert len(set(crossings)) == len(crossings) < len(family.crossing)
+    assert [crossings[s] for s in slot] == list(family.crossing)
+    rng = random.Random(3)
+    for _ in range(5):
+        w = [Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(inst.m)]
+        sums, den = family.capacities(w)
+        assert [Fraction(v, den) for v in sums] == [
+            sum((w[e] for e in c), Fraction(0)) for c in family.crossing
+        ]
+    # groups: each (crossing, requirement) pair once, its rows ascending.
+    members = []
+    for s, need, rows in family.groups:
+        assert rows == sorted(rows)
+        assert all(slot[i] == s and family.requirement[i] == need for i in rows)
+        members += rows
+    assert sorted(members) == list(range(len(family.crossing)))
+    assert len({(s, need) for s, need, _ in family.groups}) == len(family.groups)
 
 
 def test_fractional_capacity_scales_flows():

@@ -413,6 +413,68 @@ def test_integer_separation_matches_the_fraction_scan(monkeypatch):
     assert compared >= 100  # most scans found violations to compare
 
 
+def test_nearly_integral_set_is_a_split_prefix():
+    """Separation tests only the prefixes of a crossing by decreasing x
+    that end between distinct x values; the nearly-integral edges of the
+    crossing are empty or one of them, ties in x and at t included."""
+    rng = random.Random(17)
+    nonempty = 0
+    for _ in range(3000):
+        m = rng.randint(1, 10)
+        den = rng.choice([1, 2, 3, 4, 6, 12])
+        num = [rng.randint(0, den) for _ in range(m)]
+        if rng.random() < 0.5:  # t equal to some x value
+            t = Fraction(rng.choice(num) or 1, den)
+        else:
+            t = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        variant = kclp.VariantRecord("uniform", 1 / t, None, {})
+        crossing = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+        frozen = tuple(sorted(kclp._frozen(variant, num, den) & set(crossing)))
+        order = sorted(crossing, key=lambda e: (-num[e], e))
+        splits = [
+            tuple(sorted(order[:j]))
+            for j in range(1, len(order) + 1)
+            if j == len(order) or num[order[j]] != num[order[j - 1]]
+        ]
+        assert frozen == () or frozen in splits, (crossing, num, den, t)
+        nonempty += frozen not in ((), crossing)
+    assert nonempty >= 500  # most cases test a proper prefix
+
+
+def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
+    inst = gen_random("kway", 9, 16, 1000, levels=2)
+    rounds = []
+    walk, violations = kclp._cover_walk, kclp._violations
+
+    def counting_violations(*args):
+        rounds.append([])
+        return violations(*args)
+
+    def counting_walk(crossing, need, *args):
+        rounds[-1].append((crossing, need))
+        return walk(crossing, need, *args)
+
+    monkeypatch.setattr(kclp, "_violations", counting_violations)
+    monkeypatch.setattr(kclp, "_cover_walk", counting_walk)
+    sol, cert = solve_good(inst)
+    assert len(rounds) == cert.rounds
+    walked = [keys for keys in rounds if keys]
+    assert walked
+    for keys in walked:
+        assert len(keys) == len(set(keys))
+    # The last round finds nothing, so it walks every small row's
+    # (crossing, demand) once, for fewer walks than small rows.
+    family, variant = sol.family, variant_for(inst)
+    num, den, caps = kclp._scaled(family, sol.x)
+    small = [
+        (family.crossing[i], need)
+        for i, need in enumerate(family.requirement)
+        if need and variant.small(caps[i], need, den)
+    ]
+    assert sorted(rounds[-1]) == sorted(set(small))
+    assert len(rounds[-1]) < len(small)
+
+
 def test_capability_guards():
     n = 18
     edges = tuple((i, i + 1, 3, 1) for i in range(n - 1))

@@ -88,6 +88,19 @@ def test_rows_vertex_cap():
         constraint_rows(inst)
 
 
+def test_rows_and_optimum_read_a_given_family():
+    inst = gen_random("kway", 7, 11, 5, levels=2)
+    family = cut_family(inst)
+    assert constraint_rows(inst, family) == constraint_rows(inst)
+    assert exact_optimum(inst, family=family) == exact_optimum(inst)
+    other = gen_random("kway", 7, 11, 6, levels=2)
+    assert other != inst
+    with pytest.raises(ValueError):
+        constraint_rows(other, family)
+    with pytest.raises(ValueError):
+        exact_optimum(other, family=family)
+
+
 # ---------------------------------------------------------------------------
 # subset oracle
 
