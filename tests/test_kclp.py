@@ -458,9 +458,7 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
     monkeypatch.setattr(kclp, "_cover_walk", counting_walk)
     sol, cert = solve_good(inst)
     assert len(rounds) == cert.rounds
-    walked = [keys for keys in rounds if keys]
-    assert walked
-    for keys in walked:
+    for keys in rounds:
         assert len(keys) == len(set(keys))
     # The last round finds nothing, so it walks every small row's
     # (crossing, demand) once, for fewer walks than small rows.
