@@ -26,7 +26,6 @@ from .graphs import (
     Pairs,
     Uniform,
     check_feasible,
-    global_min_cut,
     max_flow,
     parse_instance,
     serialize_instance,
@@ -36,7 +35,6 @@ from .kclp import (
     FractionalSolution,
     GoodCertificate,
     VariantRecord,
-    check_kc,
     solve_good,
     variant_for,
     verify_good,
@@ -83,7 +81,6 @@ __all__ = [
     "VariantRecord",
     "baseline_independent_pairs",
     "check_feasible",
-    "check_kc",
     "enumerate_near_min_cuts",
     "enumerate_near_min_kway_cuts",
     "exact_optimum",
@@ -93,7 +90,6 @@ __all__ = [
     "gen_random",
     "gen_single_pair_gap",
     "gen_triangle_gap",
-    "global_min_cut",
     "label_cover_from_dict",
     "label_cover_to_dict",
     "max_flow",

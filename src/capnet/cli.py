@@ -126,7 +126,7 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
         }
         oracle_cost = None
         if want_oracle:
-            oracle_cost = exact_optimum(instance, force=force, family=fractional.family).cost
+            oracle_cost = exact_optimum(instance, force=force).cost
     if oracle_cost is not None:
         row["oracle_cost"] = format_rational(oracle_cost)
         alg_cost = Fraction(row["alg_cost"])

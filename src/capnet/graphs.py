@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapabilityError, InstanceFormatError, invariant
+from .errors import CapabilityError, InstanceFormatError
 from .util import format_rational, iter_partitions, over_common_denominator
 
 
@@ -367,9 +367,14 @@ class CutFamily:
         return Cut(side, self.crossing[i], capacity, self.instance.directed)
 
 
+# One entry on purpose: the solve, rounding, verification and the oracle
+# of one instance share its family, and only one family is alive at a
+# time, which bounds memory when many instances are processed in turn.
+@functools.lru_cache(maxsize=1)
 def cut_family(instance):
     """The family of the cuts `instance.requirements` constrain: every
-    level's partitions for k-way requirements, else the bipartitions."""
+    level's partitions for k-way requirements, else the bipartitions.
+    Equal instances share one family while it is the latest built."""
     req = instance.requirements
     return CutFamily(instance, range(2, len(req.Rs) + 2) if isinstance(req, KWay) else None)
 
@@ -457,28 +462,6 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
     return FlowResult(value, exact, frozenset(reach))
 
 
-def global_min_cut(instance, weighting):
-    """Minimum-capacity cut over all bipartitions (undirected).
-
-    Runs n-1 max flows from vertex 0; every cut separates 0 from some
-    vertex, so the cheapest of those witnesses is a global minimum.  A
-    disconnected graph yields a legitimate zero-capacity cut.
-    """
-    if instance.directed:
-        raise ValueError("global min cut is defined here for undirected instances")
-    if instance.n < 2:
-        raise ValueError("need at least two vertices")
-    best = None
-    for v in range(1, instance.n):
-        res = max_flow(instance, weighting, 0, v)
-        if best is None or res.value < best[0]:
-            best = (res.value, res.source_side)
-    side = frozenset(range(instance.n)) - best[1]  # canonical: excludes vertex 0
-    cut = cut_from_side(instance, weighting, side)
-    invariant(cut.capacity == best[0], "min cut side disagrees with the max flow value")
-    return cut
-
-
 # ---------------------------------------------------------------------------
 # feasibility
 
@@ -489,15 +472,13 @@ class FeasibilityResult:
     pair_index: object = None  # which pair failed, for Pairs requirements
 
 
-def check_feasible(instance, edge_subset, family=None):
+def check_feasible(instance, edge_subset):
     """Does buying `edge_subset` meet the instance requirements?
 
     Always exact.  Uniform and Pairs checks reduce to max flows and work
     at any size.  KWay scans the requirement's cut family, so it raises
     CapabilityError past n = 10; its witness is the first violated
-    partition, level by level in `iter_partitions` order.  A caller that
-    already holds `cut_family(instance)` passes it as `family`, which
-    only the KWay scan reads.
+    partition, level by level in `iter_partitions` order.
     """
     w = subset_weighting(instance, edge_subset)
     req = instance.requirements
@@ -527,7 +508,7 @@ def check_feasible(instance, edge_subset, family=None):
         return FeasibilityResult(True)
 
     if isinstance(req, KWay):
-        family = cut_family(instance) if family is None else family
+        family = cut_family(instance)
         for i, (cap, need) in enumerate(zip(family.capacities(w)[0], family.requirement)):
             if cap < need:
                 return FeasibilityResult(False, family.cut(i, cap))

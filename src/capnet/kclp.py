@@ -17,17 +17,16 @@ constraint pool and alternates exact LP solves with separation rounds:
   2. look for violated knapsack-cover inequalities over the small cuts
      (capacity at most twice the requirement under uhat).
 
-Both steps are one scan (_violations) over the rows of one exhaustive
-cut family (graphs.CutFamily), built once per solve and handed on to the
-rounding step with the solution.  The scan runs on Python integers: each
-round writes x over D, the lcm of its denominators, once, and every row
-capacity and cover-row slack is then an integer D times its value.  As
-D > 0 this keeps every sign and every order of slacks, so the pool, its
-order and the LP vertices are those of an exact rational scan.  A
-violated row stays a family row index until it enters the pool; only
-then are its cover terms and its Cut or KWayCut built, and Fractions
-appear only there and in the certificate slacks, each its integer slack
-over D.
+Both steps are one scan (_violations) over the rows of the instance's
+exhaustive cut family (graphs.cut_family), which the later stages read
+too.  The scan runs on Python integers: each round writes x over D, the
+lcm of its denominators, once, and every row capacity and cover-row
+slack is then an integer D times its value.  As D > 0 this keeps every
+sign and every order of slacks, so the pool, its order and the LP
+vertices are those of an exact rational scan.  A violated row stays a
+family row index until it enters the pool; only then are its cover
+terms and its Cut or KWayCut built, and Fractions appear only there and
+in the certificate slacks, each its integer slack over D.
 
 For step 2 each cut is tested against a nested family of candidate A
 sets: the prefixes of its crossing edges ordered by decreasing x, cut
@@ -58,14 +57,12 @@ from operator import itemgetter
 from .errors import InfeasibleError, IterationLimitError, invariant
 from .graphs import (
     KWay,
-    KWayCut,
     Pairs,
     Uniform,
     check_feasible,
     cut_family,
     describe_cut,
     fractional_capacity,
-    row_requirement,
 )
 from .simplex import solve_box_covering_lp
 from .util import format_rational, log2_fixed, over_common_denominator
@@ -137,16 +134,11 @@ def variant_for(instance, gamma=None):
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """x over the instance's edges with its nearly-integral threshold.
-
-    `family`, when given, is `cut_family(instance)` as the solve built
-    it, so later stages can scan it without building it again.
-    """
+    """x over the instance's edges with its nearly-integral threshold."""
 
     instance: object
     x: tuple
     threshold: Fraction
-    family: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         xs = tuple(Fraction(v) for v in self.x)
@@ -171,41 +163,6 @@ class FractionalSolution:
     def nearly_integral(self):
         # Recomputed on demand so it can never go stale.
         return tuple(i for i, v in enumerate(self.x) if v >= self.threshold)
-
-
-def cut_requirement(instance, cut):
-    """The demand a given cut must cover, per the instance requirements."""
-    shape = [0] * instance.n
-    for block, part in enumerate(cut.parts if isinstance(cut, KWayCut) else ((), cut.side)):
-        for v in part:
-            shape[v] = block
-    return row_requirement(instance, shape)
-
-
-def residual_requirement(instance, cut, edge_set, requirement=None):
-    """Demand left on `cut` once the edges of `edge_set` are taken as bought.
-
-    Never negative: a set already covering the cut leaves nothing to ask
-    of the remaining edges.
-    """
-    if requirement is None:
-        requirement = cut_requirement(instance, cut)
-    return _kc_terms(instance, cut.crossing, edge_set, requirement)[0]
-
-
-def _kc_terms(instance, crossing, edge_set, requirement, clamp=True):
-    """(rhs, coefficients) of the cover row over the crossing edges
-    `crossing` with `edge_set` taken as bought."""
-    inside = set(edge_set)
-    covered = sum(instance.edges[e].capacity for e in crossing if e in inside)
-    rhs = max(0, requirement - covered)
-    coeffs = []
-    for e in crossing:
-        if e in inside:
-            continue
-        cap = instance.edges[e].capacity
-        coeffs.append((e, min(cap, rhs) if clamp else cap))
-    return rhs, tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -241,23 +198,6 @@ class KCConstraint:
         return d
 
 
-def build_kc(instance, cut, edge_set, requirement=None, clamp=True):
-    if requirement is None:
-        requirement = cut_requirement(instance, cut)
-    edge_set = tuple(sorted(set(edge_set)))
-    rhs, coeffs = _kc_terms(instance, cut.crossing, edge_set, requirement, clamp)
-    return KCConstraint(cut, edge_set, requirement, rhs, coeffs)
-
-
-def check_kc(instance, x, cut, edge_set, requirement=None):
-    """Test one knapsack-cover inequality.  Returns (satisfied, slack)."""
-    con = build_kc(instance, cut, edge_set, requirement)
-    if con.rhs == 0:
-        return True, Fraction(0)
-    slack = con.evaluate([Fraction(v) for v in x])
-    return slack >= 0, slack
-
-
 # ---------------------------------------------------------------------------
 # separation
 
@@ -272,8 +212,14 @@ def _scaled(family, x):
 
 def _row_terms(family, i, edge_set, clamp=True):
     """(rhs, coefficients) of family row i's cover row with `edge_set`
-    (a sorted tuple) taken as bought."""
-    return _kc_terms(family.instance, family.crossing[i], edge_set, family.requirement[i], clamp)
+    (a sorted tuple) taken as bought: the residual demand and, for each
+    crossing edge outside `edge_set`, its capacity, clamped at the
+    residual when `clamp`."""
+    edges, inside = family.instance.edges, set(edge_set)
+    rest = [(e, edges[e].capacity) for e in family.crossing[i] if e not in inside]
+    covered = sum(edges[e].capacity for e in family.crossing[i] if e in inside)
+    rhs = max(0, family.requirement[i] - covered)
+    return rhs, tuple((e, min(u, rhs) if clamp else u) for e, u in rest)
 
 
 def _scaled_slack(rhs, coeffs, num, den):
@@ -452,13 +398,13 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
     if variant.kind == "near-uniform":
         deviations.append(_NEAR_UNIFORM_DEVIATION)
 
-    full = check_feasible(instance, range(instance.m), family)
+    full = check_feasible(instance, range(instance.m))
     if not full.feasible:
         raise InfeasibleError("requirements exceed the full edge set", full.witness)
 
     if not any(family.requirement):  # k-way bounds are >= 1, so never k-way
         x = tuple(Fraction(0) for _ in range(instance.m))
-        sol = FractionalSolution(instance, x, variant.threshold, family)
+        sol = FractionalSolution(instance, x, variant.threshold)
         cert = GoodCertificate(variant, 0, Fraction(0), x, (), (), tuple(deviations))
         return sol, cert
 
@@ -475,7 +421,7 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
         num, den, caps = _scaled(family, x)
         found = _violations(family, variant, num, den, caps, kc)
         if not found:
-            sol = FractionalSolution(instance, tuple(x), variant.threshold, family)
+            sol = FractionalSolution(instance, tuple(x), variant.threshold)
             constraints = tuple(pool.values())
             slacks = tuple(
                 Fraction(_scaled_slack(c.rhs, c.coefficients, num, den), den) for c in constraints

@@ -41,7 +41,6 @@ from .graphs import (
     Uniform,
     capacity_weighting,
     cut_family,
-    global_min_cut,
     instance_to_dict,
     max_flow,
     subset_weighting,
@@ -58,11 +57,9 @@ ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 # ---------------------------------------------------------------------------
 # covering rows: feasibility as capacity constraints, one row per minimal cut
 
-def constraint_rows(instance, family=None):
+def constraint_rows(instance):
     """The inclusion-minimal cut constraints as (edge index tuple, demand)
-    rows, sorted, read off `family`, which is `cut_family(instance)` and
-    is built when not given.  Raises ValueError for a family of another
-    instance.
+    rows, sorted, read off `cut_family(instance)`.
 
     A subset is feasible iff every row's capacity under the subset meets
     its demand; likewise a copy vector with capacities copies(e) * u(e).
@@ -72,10 +69,7 @@ def constraint_rows(instance, family=None):
     covers every cut.  The rows come from the instance's cut family, so
     n <= 16 (10 for k-way).
     """
-    if family is None:
-        family = cut_family(instance)
-    elif family.instance != instance:
-        raise ValueError("the cut family belongs to another instance")
+    family = cut_family(instance)
     rows = {}
     for key, need in zip(family.crossing, family.requirement):
         if need > rows.get(key, 0):
@@ -200,22 +194,18 @@ class SubsetOptimum:
     explored: int
 
 
-def exact_optimum(instance, force=False, family=None):
+def exact_optimum(instance, force=False):
     """Minimum-cost feasible edge subset by branch and bound.
 
     Capped at m <= 24 unless force=True.  Raises InfeasibleError when
     even the full edge set fails.  Among optima, returns the
-    lexicographically least edge tuple.  `family`, when given, is
-    `cut_family(instance)` as an earlier stage built it (see
-    constraint_rows).
+    lexicographically least edge tuple.
     """
     if instance.m > SUBSET_EDGE_LIMIT and not force:
         raise CapabilityError(
             f"subset search is capped at m = {SUBSET_EDGE_LIMIT}; pass force=True to override"
         )
-    # Called with the instance alone when no family is given, so a
-    # stand-in constraint_rows(instance) can replace the module's.
-    rows = constraint_rows(instance) if family is None else constraint_rows(instance, family)
+    rows = constraint_rows(instance)
     if not rows:
         return SubsetOptimum(Fraction(0), (), 0)
     m = instance.m
@@ -659,18 +649,18 @@ def gen_random(
     for a, b in edges:
         full.append((a, b, rng.randint(lo_u, hi_u), Fraction(rng.randint(lo_c, hi_c))))
     skeleton = Instance(n, tuple(full), Uniform(0))
+    w = capacity_weighting(skeleton)
 
     def ceiling(value):
         return min(value, demand_cap) if demand_cap else value
 
     if kind == "uniform":
-        mincut = global_min_cut(skeleton, capacity_weighting(skeleton)).capacity
+        mincut = min(max_flow(skeleton, w, 0, v).value for v in range(1, n))
         return replace(skeleton, requirements=Uniform(rng.randint(1, ceiling(mincut))))
 
     if kind == "kway":
         if levels < 1 or levels + 1 > n:
             raise ValueError("levels must fit the vertex count")
-        w = capacity_weighting(skeleton)
         floors = [min(CutFamily(skeleton, (j,)).capacities(w)[0]) for j in range(2, levels + 2)]
         rs = []
         prev = 1
@@ -680,7 +670,6 @@ def gen_random(
             prev = r
         return replace(skeleton, requirements=KWay(tuple(rs)))
 
-    w = capacity_weighting(skeleton)
     chosen_pairs = []
     seen = set()
     tries = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError
-from .graphs import KWay, check_feasible, cut_family
+from .graphs import check_feasible
 from .kclp import FractionalSolution
 from .util import derive_seed
 
@@ -96,16 +96,11 @@ def round_solution(solution, seed=0):
         raise TypeError("round_solution expects a FractionalSolution")
     instance = solution.instance
     scale = 1 / solution.threshold
-    # Only the k-way check scans the cut family: the solve's, or one built
-    # here for every draw.
-    family = None
-    if isinstance(instance.requirements, KWay):
-        family = cut_family(instance) if solution.family is None else solution.family
     attempts = []
     for t in range(MAX_ATTEMPTS):
         attempt_seed = derive_seed(seed, t)
         edges = sample_edges(solution, scale, attempt_seed)
-        result = check_feasible(instance, edges, family)
+        result = check_feasible(instance, edges)
         cost = instance.total_cost(edges)
         attempts.append(
             RoundingAttempt(attempt_seed, edges, cost, result.feasible)

@@ -19,6 +19,7 @@ from capnet.graphs import (
     FlowResult,
     Instance,
     Uniform,
+    cut_family,
     parse_instance,
     serialize_instance,
 )
@@ -102,6 +103,7 @@ def test_kway_solve_with_oracle_builds_one_cut_family(tmp_path, capsys, monkeypa
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    cut_family.cache_clear()
     assert main(["solve", path, "--seed", "3", "--oracle"]) == 0
     rows, _ = _read_report(capsys.readouterr().out)
     assert rows[0]["oracle_cost"]

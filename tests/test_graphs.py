@@ -19,8 +19,8 @@ from capnet.graphs import (
     check_feasible,
     crossing_edges,
     cut_from_side,
+    cut_family,
     fractional_capacity,
-    global_min_cut,
     instance_from_dict,
     instance_to_dict,
     kway_cut_from_assignment,
@@ -195,6 +195,28 @@ def test_cut_family_sort_key_lists_the_cut(sizes, directed):
     )
 
 
+def test_cut_family_memo_keeps_one_family(monkeypatch):
+    # One entry: a, b, a builds three families, so at most one stays alive.
+    a = gen_random("kway", 6, 9, 1, levels=2)
+    b = gen_random("kway", 6, 9, 2, levels=2)
+    built = []
+    init = CutFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    cut_family.cache_clear()
+    first = cut_family(a)
+    assert cut_family(Instance(a.n, a.edges, a.requirements)) is first  # equal, not identical
+    assert len(built) == 1
+    assert cut_family(b).instance == b
+    again = cut_family(a)
+    assert again is not first and again.crossing == first.crossing
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize("sizes, directed", [(None, False), (None, True), ((2, 3), False)])
 def test_cut_family_distinct_view_sums_each_row(sizes, directed):
     # An isolated vertex makes bipartition rows repeat their crossings too.
@@ -231,12 +253,14 @@ def test_fractional_capacity_scales_flows():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_global_min_cut_matches_brute(seed):
+    # Every cut separates vertex 0 from some v, so the least 0-v max flow
+    # is the global min cut (what gen_random("uniform") draws R under).
     n = 4 + seed % 5
     inst = gen_random("uniform", n=n, m=n + 3, seed=100 + seed)
     w = capacity_weighting(inst)
-    cut = global_min_cut(inst, w)
-    assert 0 not in cut.side
-    assert cut.capacity == brute_global_min_cut(inst, [w[i] for i in range(inst.m)])
+    least = min(max_flow(inst, w, 0, v).value for v in range(1, n))
+    assert least == brute_global_min_cut(inst, [w[i] for i in range(inst.m)])
+    assert 1 <= inst.requirements.R <= least
 
 
 # ---------------------------------------------------------------------------

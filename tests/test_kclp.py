@@ -16,18 +16,12 @@ from capnet.graphs import (
     KWay,
     Pairs,
     Uniform,
-    capacity_weighting,
     check_feasible,
     cut_family,
-    cut_from_side,
     fractional_capacity,
 )
 from capnet.kclp import (
     FractionalSolution,
-    build_kc,
-    check_kc,
-    cut_requirement,
-    residual_requirement,
     solve_good,
     variant_for,
     verify_good,
@@ -91,44 +85,43 @@ def test_scale_factor_and_threshold_values():
 # ---------------------------------------------------------------------------
 # requirements per cut and residuals
 
+def _row(family, side):
+    """The index of the bipartition row whose side is `side`."""
+    return family.shapes.index(bytes(v in side for v in range(family.instance.n)))
+
+
 def test_cut_requirement_by_variant(square_pairs):
     uni = gen_random("uniform", n=5, m=7, seed=1)
-    w = capacity_weighting(uni)
-    cut = cut_from_side(uni, w, {1})
-    assert cut_requirement(uni, cut) == uni.requirements.R
+    family = cut_family(uni)
+    assert family.requirement[_row(family, {1})] == uni.requirements.R
 
-    w = capacity_weighting(square_pairs)
+    family = cut_family(square_pairs)
     # {0, 1} vs {2, 3} separates both demands (0,2,3) and (1,3,2).
-    both = cut_from_side(square_pairs, w, {2, 3})
-    assert cut_requirement(square_pairs, both) == 3
+    assert family.requirement[_row(family, {2, 3})] == 3
     # {1} separates only the second demand.
-    one = cut_from_side(square_pairs, w, {1})
-    assert cut_requirement(square_pairs, one) == 2
+    assert family.requirement[_row(family, {1})] == 2
     # {1, 3} separates vertex pairs (0,2) not at all, (1,3) not at all.
-    neither = cut_from_side(square_pairs, w, {1, 3})
-    assert cut_requirement(square_pairs, neither) == 0
+    assert family.requirement[_row(family, {1, 3})] == 0
 
 
 def test_residual_requirement_clamps_at_zero(triangle_rigid):
-    w = capacity_weighting(triangle_rigid)
-    cut = cut_from_side(triangle_rigid, w, {2})  # crossing edges 1, 2
-    assert residual_requirement(triangle_rigid, cut, ()) == 5
-    assert residual_requirement(triangle_rigid, cut, (1,)) == 1
-    assert residual_requirement(triangle_rigid, cut, (2,)) == 0
-    assert residual_requirement(triangle_rigid, cut, (1, 2)) == 0
+    family = cut_family(triangle_rigid)
+    row = _row(family, {2})  # crossing edges 1, 2
+    assert family.crossing[row] == (1, 2)
+    assert kclp._row_terms(family, row, ())[0] == 5
+    assert kclp._row_terms(family, row, (1,))[0] == 1
+    assert kclp._row_terms(family, row, (2,))[0] == 0
+    assert kclp._row_terms(family, row, (1, 2))[0] == 0
     # Edges off the cut contribute nothing.
-    assert residual_requirement(triangle_rigid, cut, (0,)) == 5
+    assert kclp._row_terms(family, row, (0,))[0] == 5
 
 
-def test_build_kc_clamps_coefficients(triangle_rigid):
-    w = capacity_weighting(triangle_rigid)
-    cut = cut_from_side(triangle_rigid, w, {2})
-    con = build_kc(triangle_rigid, cut, (1,))
-    assert con.rhs == 1
-    assert con.coefficients == ((2, 1),)  # capacity 5 clamped to the residual 1
-    plain = build_kc(triangle_rigid, cut, (), clamp=False)
-    assert plain.coefficients == ((1, 4), (2, 5))
-    assert plain.rhs == 5
+def test_cover_row_clamps_coefficients(triangle_rigid):
+    family = cut_family(triangle_rigid)
+    row = _row(family, {2})
+    # capacity 5 clamped to the residual 1
+    assert kclp._row_terms(family, row, (1,)) == (1, ((2, 1),))
+    assert kclp._row_terms(family, row, (), clamp=False) == (5, ((1, 4), (2, 5)))
 
 
 def test_kc_rows_hold_for_every_feasible_subset():
@@ -136,7 +129,7 @@ def test_kc_rows_hold_for_every_feasible_subset():
     # feasible integral selection satisfies the inequality.
     for seed in range(6):
         inst = gen_random("uniform", n=5, m=7, seed=40 + seed)
-        w = capacity_weighting(inst)
+        family = cut_family(inst)
         feasible = [
             chosen for size in range(inst.m + 1)
             for chosen in itertools.combinations(range(inst.m), size)
@@ -146,22 +139,22 @@ def test_kc_rows_hold_for_every_feasible_subset():
         for _ in range(30):
             mask = rng.randrange(1, 1 << (inst.n - 1))
             side = {v for v in range(1, inst.n) if mask >> (v - 1) & 1}
-            cut = cut_from_side(inst, w, side)
-            aset = tuple(e for e in cut.crossing if rng.random() < 0.4)
-            con = build_kc(inst, cut, aset)
+            row = _row(family, side)
+            aset = tuple(e for e in family.crossing[row] if rng.random() < 0.4)
+            terms = kclp._row_terms(family, row, aset)
             for chosen in feasible:
                 x = [1 if e in chosen else 0 for e in range(inst.m)]
-                assert con.evaluate(x) >= 0, (seed, side, aset, chosen)
+                assert kclp._scaled_slack(*terms, x, 1) >= 0, (seed, side, aset, chosen)
 
 
-def test_check_kc_flags_violations(triangle_rigid):
-    w = capacity_weighting(triangle_rigid)
-    cut = cut_from_side(triangle_rigid, w, {2})
-    x = [Fraction(1), Fraction(1), Fraction(0)]
-    ok, slack = check_kc(triangle_rigid, x, cut, (1,))
-    assert not ok and slack == -1
-    ok, slack = check_kc(triangle_rigid, x, cut, (1, 2))
-    assert ok and slack == 0  # residual zero rows are vacuous
+def test_cover_row_slack_flags_violations(triangle_rigid):
+    family = cut_family(triangle_rigid)
+    row = _row(family, {2})
+    x = [1, 1, 0]
+    assert kclp._scaled_slack(*kclp._row_terms(family, row, (1,)), x, 1) == -1
+    rhs, coeffs = kclp._row_terms(family, row, (1, 2))
+    assert rhs == 0 and coeffs == ()  # residual zero rows are vacuous
+    assert kclp._scaled_slack(rhs, coeffs, x, 1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +296,16 @@ def test_solve_good_builds_the_kway_family_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    cut_family.cache_clear()
     sol, _ = solve_good(inst)
     report = round_solution(sol, seed=1000)  # reads the family the solve built
     assert len(built) == 1
-    # A solution without the solve's family still rounds the same way.
+    # A solution built apart from the solve rounds the same way, on the
+    # same family.
     bare = FractionalSolution(inst, sol.x, sol.threshold)
     assert bare == sol
     assert round_solution(bare, seed=1000) == report
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +331,7 @@ def _ref_candidate_edge_sets(crossing, x, threshold):
 
 
 def _ref_cover_row(family, i, edge_set, x, clamp=True):
-    rhs, coeffs = kclp._kc_terms(
-        family.instance, family.crossing[i], edge_set, family.requirement[i], clamp
-    )
+    rhs, coeffs = kclp._row_terms(family, i, edge_set, clamp)
     return sum((c * x[e] for e, c in coeffs), Fraction(0)) - rhs, i, edge_set, rhs, coeffs
 
 
@@ -462,7 +455,7 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
         assert len(keys) == len(set(keys))
     # The last round finds nothing, so it walks every small row's
     # (crossing, demand) once, for fewer walks than small rows.
-    family, variant = sol.family, variant_for(inst)
+    family, variant = cut_family(inst), variant_for(inst)
     num, den, caps = kclp._scaled(family, sol.x)
     small = [
         (family.crossing[i], need)

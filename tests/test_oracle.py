@@ -9,6 +9,7 @@ import pytest
 from capnet import oracle
 from capnet.errors import CapabilityError, InfeasibleError, InstanceFormatError
 from capnet.graphs import (
+    CutFamily,
     Edge,
     Instance,
     KWay,
@@ -36,7 +37,9 @@ from capnet.oracle import (
     sample_yes_instances,
     verify_yes_certificate,
 )
+from capnet.kclp import solve_good, verify_good
 from capnet.multicopy import baseline_independent_pairs
+from capnet.rounding import round_solution
 from capnet.util import ceil_div
 
 from conftest import brute_copy_optimum, brute_subset_optimum
@@ -88,17 +91,23 @@ def test_rows_vertex_cap():
         constraint_rows(inst)
 
 
-def test_rows_and_optimum_read_a_given_family():
-    inst = gen_random("kway", 7, 11, 5, levels=2)
-    family = cut_family(inst)
-    assert constraint_rows(inst, family) == constraint_rows(inst)
-    assert exact_optimum(inst, family=family) == exact_optimum(inst)
-    other = gen_random("kway", 7, 11, 6, levels=2)
-    assert other != inst
-    with pytest.raises(ValueError):
-        constraint_rows(other, family)
-    with pytest.raises(ValueError):
-        exact_optimum(other, family=family)
+def test_kway_pipeline_builds_one_cut_family(monkeypatch):
+    inst = gen_random("kway", 7, 11, 5, levels=2)  # generation scans partitions too
+    built = []
+    init = CutFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    cut_family.cache_clear()
+    sol, cert = solve_good(inst)
+    report = round_solution(sol, seed=5)
+    best = exact_optimum(inst)
+    assert verify_good(inst, sol) == []
+    assert cert.cost <= best.cost <= report.cost
+    assert len(built) == 1  # the solve's family serves every later stage
 
 
 # ---------------------------------------------------------------------------

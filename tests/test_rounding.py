@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capnet.errors import InfeasibleError
-from capnet.graphs import CutFamily, Instance, KWay, Pairs, check_feasible
+from capnet.graphs import CutFamily, Instance, KWay, Pairs, check_feasible, cut_family
 from capnet.kclp import FractionalSolution, solve_good, variant_for
 from capnet.oracle import gen_random, gen_triangle_gap
 from capnet.rounding import (
@@ -98,6 +98,7 @@ def test_round_solution_builds_the_kway_family_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CutFamily, "__init__", counting_init)
+    cut_family.cache_clear()
     with pytest.raises(InfeasibleError) as err:
         round_solution(sol, seed=0)
     assert len(err.value.witness) == MAX_ATTEMPTS
