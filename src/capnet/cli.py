@@ -25,8 +25,9 @@ from .errors import (
     InvariantError,
     IterationLimitError,
 )
-from .graphs import Pairs, parse_instance, serialize_instance
+from .graphs import parse_instance, serialize_instance
 from .kclp import solve_good, variant_for, verify_good
+from .multicopy import baseline_independent_pairs
 from .multicopy import run as run_multicopy
 from .oracle import (
     exact_optimum,
@@ -95,8 +96,6 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
     row = {"instance": name, "variant": alg, "n": instance.n, "m": instance.m,
            "seed": "" if seed is None else seed}
     if alg == "multicopy":
-        if not isinstance(instance.requirements, Pairs):
-            raise ValueError("the multicopy algorithm needs pair requirements")
         if gamma is not None:
             raise ValueError("--gamma applies to the near-uniform LP, not to multicopy")
         solution = run_multicopy(instance)
@@ -228,47 +227,53 @@ def cmd_exact(args):
 
 
 def _verify_checks():
-    """The built-in instance checks.  Yields (name, ok, detail)."""
-    R, C = 10, 100
-    triangle = gen_triangle_gap(R, C)
-    _, plain = solve_good(triangle, seed=0, kc=False)
-    yield (
-        "triangle-gap-plain-lp",
-        plain.cost == Fraction(C, R),
-        f"cost {format_rational(plain.cost)}, expected {format_rational(Fraction(C, R))}",
-    )
-    _, strengthened = solve_good(triangle, seed=0)
-    yield (
-        "triangle-gap-cover-lp",
-        strengthened.cost == C,
-        f"cost {format_rational(strengthened.cost)}, expected {C}",
-    )
-    best = exact_optimum(triangle)
-    yield (
-        "triangle-gap-optimum",
-        best.cost == C and 2 in best.edges,
-        f"cost {format_rational(best.cost)}, edges {list(best.edges)}",
-    )
+    """The paper's desk-scale claims as checks.  Yields (name, ok, detail)."""
+    C = 100
+    for R in (2, 3, 5, 8, 10, 16):
+        triangle = gen_triangle_gap(R, C)
+        _, plain = solve_good(triangle, seed=0, kc=False)
+        _, cover = solve_good(triangle, seed=0)
+        best = exact_optimum(triangle)
+        yield (
+            f"triangle-gap-R{R}",
+            plain.cost == Fraction(C, R) and cover.cost == C
+            and best.cost == C and 2 in best.edges,
+            f"plain {format_rational(plain.cost)} (want {format_rational(Fraction(C, R))}), "
+            f"cover {format_rational(cover.cost)} and optimum {format_rational(best.cost)} "
+            f"(want {C}), edges {list(best.edges)}, gap {format_rational(best.cost / plain.cost)}",
+        )
 
-    R = 4
-    star, reference = gen_single_pair_gap(R)
+    for R in (4, 6, 8):
+        star, reference = gen_single_pair_gap(R)
+        problems = verify_good(star, reference)
+        best = exact_optimum(star)
+        yield (
+            f"star-gap-R{R}",
+            reference.cost() == 3 * R and not problems and best.cost == R * (R + 1) // 2,
+            f"reference {format_rational(reference.cost())} (want {3 * R}), "
+            f"{len(problems)} violated conditions, optimum {format_rational(best.cost)} "
+            f"(want {R * (R + 1) // 2}), gap {format_rational(best.cost / reference.cost())}",
+        )
+
+    # The forest algorithm against the copy oracle and the no-sharing
+    # baseline: both buy feasible copy vectors, so neither beats the oracle.
+    beaten, over_oracle, over_baseline = 0, [], []
+    for t in range(40):
+        instance = gen_random("pairs", 7, 11, derive_seed(2024, t), pairs=3, demand_cap=3)
+        forest = run_multicopy(instance).cost
+        baseline = baseline_independent_pairs(instance).cost
+        oracle = exact_optimum_multicopy(instance).cost
+        beaten += oracle > min(forest, baseline)
+        if oracle:
+            over_oracle.append(forest / oracle)
+        if baseline:
+            over_baseline.append(forest / baseline)
     yield (
-        "star-gap-reference-cost",
-        reference.cost() == 3 * R,
-        f"cost {format_rational(reference.cost())}, expected {3 * R}",
-    )
-    problems = verify_good(star, reference)
-    yield (
-        "star-gap-reference-conditions",
-        not problems,
-        f"{len(problems)} violated conditions",
-    )
-    star_best = exact_optimum(star)
-    ratio = star_best.cost / (3 * R)
-    yield (
-        "star-gap-integrality-ratio",
-        star_best.cost * 2 > R * R and ratio >= Fraction(R, 6),
-        f"optimum {format_rational(star_best.cost)}, ratio {format_rational(ratio)}",
+        "multicopy-ratios",
+        beaten == 0,
+        f"40 instances, forest/oracle mean {format_rational(sum(over_oracle) / len(over_oracle))}"
+        f" max {format_rational(max(over_oracle))}, forest/baseline max "
+        f"{format_rational(max(over_baseline))}, oracle above either on {beaten}",
     )
 
     for i, lc in enumerate(sample_yes_instances()):
@@ -297,12 +302,16 @@ def cmd_verify(args):
     return 0
 
 
-def _add_common(parser, seed_required=False):
-    parser.add_argument("--seed", type=int, required=seed_required, default=None)
+def _add_common(parser, *flags, seed_required=False):
+    """--out, and those of --seed, --format and --force that the subcommand reads."""
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--force", action="store_true",
-                        help="lift desk-scale size caps")
+    if "--seed" in flags:
+        parser.add_argument("--seed", type=int, required=seed_required, default=None)
+    if "--format" in flags:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if "--force" in flags:
+        parser.add_argument("--force", action="store_true",
+                            help="lift desk-scale size caps")
 
 
 def _add_generator_flags(parser):
@@ -329,7 +338,7 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact oracle and report the ratio")
     p.add_argument("--trace", default=None, help="write the JSON trace here")
-    _add_common(p)
+    _add_common(p, "--seed", "--format", "--force")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="seeded random sweep")
@@ -337,16 +346,16 @@ def build_parser():
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     _add_generator_flags(p)
-    _add_common(p, seed_required=True)
+    _add_common(p, "--seed", "--format", "--force", seed_required=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", choices=("uniform", "kway", "pairs"), required=True)
     _add_generator_flags(p)
-    _add_common(p, seed_required=True)
+    _add_common(p, "--seed", seed_required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="run the built-in instance checks")
+    p = sub.add_parser("verify", help="check the paper's desk-scale claims")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -354,7 +363,7 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--multicopy", action="store_true",
                    help="optimize copy counts instead of a subset")
-    _add_common(p)
+    _add_common(p, "--force")
     p.set_defaults(func=cmd_exact)
 
     return parser

@@ -62,7 +62,6 @@ from .graphs import (
     check_feasible,
     cut_family,
     describe_cut,
-    fractional_capacity,
 )
 from .simplex import solve_box_covering_lp
 from .util import format_rational, log2_fixed, over_common_denominator
@@ -156,9 +155,6 @@ class FractionalSolution:
         return sum(
             (e.cost * v for e, v in zip(self.instance.edges, self.x)), Fraction(0)
         )
-
-    def uhat(self):
-        return fractional_capacity(self.instance, self.x)
 
     def nearly_integral(self):
         # Recomputed on demand so it can never go stale.

@@ -46,7 +46,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import InfeasibleError, invariant
-from .graphs import max_flow
+from .graphs import Pairs, max_flow
 from .util import ceil_div, floor_log2, format_rational, pow2
 
 _INF = float("inf")
@@ -163,11 +163,6 @@ class MultiCopySolution:
     def charge_bound(self):
         return 9 * self.ell_total
 
-    def charges(self):
-        return tuple(
-            c for it in self.iterations for c in it.connections if c.role != "free"
-        )
-
     def to_json(self):
         return json.dumps(
             {
@@ -208,23 +203,6 @@ class MultiCopySolution:
             },
             sort_keys=True,
             separators=(",", ":"),
-        )
-
-    def csv_row(self, oracle_cost=None):
-        k = len(self.order)
-        opt = "" if oracle_cost is None else format_rational(Fraction(oracle_cost))
-        ratio = (
-            ""
-            if oracle_cost in (None, 0)
-            else format_rational(self.cost / Fraction(oracle_cost))
-        )
-        return "{},{},{},{},{},{}".format(
-            k,
-            format_rational(self.ell_total),
-            format_rational(self.cost),
-            format_rational(self.charge_bound),
-            opt,
-            ratio,
         )
 
 
@@ -281,6 +259,8 @@ def run(instance):
     and per-pair feasibility of the bought copies are checked before
     returning (InvariantError).
     """
+    if not isinstance(instance.requirements, Pairs):
+        raise ValueError("the forest algorithm expects pair requirements")
     if instance.directed:
         raise ValueError("the forest algorithm works on undirected instances")
     pairs = instance.requirements.pairs
@@ -405,6 +385,8 @@ def baseline_independent_pairs(instance):
     Copies accumulate across pairs; the reported cost is the literal sum
     of the per-pair purchases, the natural no-sharing strawman.
     """
+    if not isinstance(instance.requirements, Pairs):
+        raise ValueError("the baseline expects pair requirements")
     if instance.directed:
         raise ValueError("the baseline works on undirected instances")
     pairs = instance.requirements.pairs

@@ -33,7 +33,6 @@ from fractions import Fraction
 
 from .errors import CapabilityError, InfeasibleError, InstanceFormatError, invariant
 from .graphs import (
-    EXHAUSTIVE_LIMIT,
     CutFamily,
     Instance,
     KWay,
@@ -51,7 +50,6 @@ from .util import ceil_div, over_common_denominator
 
 SUBSET_EDGE_LIMIT = 24
 MULTICOPY_EDGE_LIMIT = 12
-ROW_VERTEX_LIMIT = EXHAUSTIVE_LIMIT  # the cut family's cap on the rows
 
 
 # ---------------------------------------------------------------------------

@@ -65,14 +65,6 @@ def derive_seed(seed: int, tag) -> int:
     return int.from_bytes(digest, "big")
 
 
-def parse_rational(text) -> Fraction:
-    if isinstance(text, bool):
-        raise ValueError("booleans are not rationals")
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(str(text))
-
-
 def format_rational(value) -> str:
     return str(Fraction(value))
 

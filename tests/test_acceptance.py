@@ -95,8 +95,7 @@ def test_criterion_2_star_gap():
         ratio = Fraction(best.cost) / (3 * R)
         elapsed = time.perf_counter() - t0
         ok = (ok and reference.cost() == 3 * R and violated == 0
-              and 2 * best.cost > R * R and ratio >= Fraction(R, 6)
-              and elapsed < 120.0)
+              and best.cost == R * (R + 1) // 2 and elapsed < 120.0)
         parts.append(f"R={R}: {checks} cover rows clean, optimum {best.cost}, "
                      f"ratio {ratio}, {elapsed:.1f}s")
     _report(2, ok, "; ".join(parts))

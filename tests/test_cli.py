@@ -23,7 +23,8 @@ from capnet.graphs import (
     parse_instance,
     serialize_instance,
 )
-from capnet.oracle import gen_random
+from capnet.multicopy import run as run_multicopy
+from capnet.oracle import CopyOptimum, gen_random
 
 
 def _write_instance(tmp_path, instance, name="inst.json"):
@@ -241,8 +242,31 @@ def test_bench_json_format(capsys):
 def test_verify_passes_the_builtin_checks(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 15
     assert all(l.startswith("ok  ") for l in lines)
+    detail = dict(l[5:].split(": ", 1) for l in lines)
+    assert detail["triangle-gap-R2"] == (
+        "plain 50 (want 50), cover 100 and optimum 100 (want 100), edges [0, 1, 2], gap 2")
+    assert detail["star-gap-R8"] == (
+        "reference 24 (want 24), 0 violated conditions, optimum 36 (want 36), gap 3/2")
+    assert detail["multicopy-ratios"] == (
+        "40 instances, forest/oracle mean 98641/97240 max 13/11, "
+        "forest/baseline max 14/13, oracle above either on 0")
+
+
+def test_verify_fails_an_oracle_above_the_forest(capsys, monkeypatch):
+    # An "optimum" one above the forest's cost: the forest beats it.
+    monkeypatch.setattr(
+        "capnet.cli.exact_optimum_multicopy",
+        lambda instance: CopyOptimum(run_multicopy(instance).cost + 1, (), 0),
+    )
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    failed = [l for l in captured.out.splitlines() if not l.startswith("ok  ")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL multicopy-ratios: 40 instances, ")
+    assert failed[0].endswith(", oracle above either on 40")
+    assert "failed checks: multicopy-ratios" in captured.err
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
@@ -252,6 +276,22 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     )
     assert main(["verify"]) == 3
     assert capsys.readouterr().out.startswith("FAIL doomed")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("verify", "--format=json"), ("verify", "--seed=1"), ("verify", "--force"),
+    ("exact", "--format=csv"), ("exact", "--seed=1"),
+    ("gen", "--format=json"), ("gen", "--force"),
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(command, flag, capsys):
+    argv = {"verify": ["verify"], "exact": ["exact", "inst.json"],
+            "gen": ["gen", "--kind", "uniform", "--n", "5", "--m", "7", "--seed", "1"]}
+    with pytest.raises(SystemExit) as exc:
+        main(argv[command] + [flag])
+    assert exc.value.code == 1
+    error = _stderr_error(capsys)
+    assert error["error"] == "UsageError"
+    assert error["message"] == f"unrecognized arguments: {flag}"
 
 
 def test_broken_invariant_exits_3(tmp_path, capsys, monkeypatch):
@@ -301,7 +341,7 @@ def test_invariants_survive_python_O():
                             capture_output=True, text=True, timeout=300, env=env)
     assert verify.returncode == 0, verify.stderr
     lines = verify.stdout.splitlines()
-    assert len(lines) == 11 and all(l.startswith("ok  ") for l in lines)
+    assert len(lines) == 15 and all(l.startswith("ok  ") for l in lines)
 
 
 def test_exact_subset_and_copy_documents(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from capnet.errors import InfeasibleError
-from capnet.graphs import Edge, Instance, Pairs
+from capnet.graphs import Edge, Instance, Pairs, Uniform
 from capnet.multicopy import baseline_independent_pairs, run
 from capnet.oracle import exact_optimum_multicopy, gen_random
 from capnet.util import floor_log2
@@ -159,12 +159,17 @@ def test_directed_and_disconnected_are_rejected():
         run(disconnected)
 
 
+
+def test_non_pair_requirements_are_rejected():
+    inst = Instance(2, ((0, 1, 2, 1),), Uniform(1))
+    with pytest.raises(ValueError, match="pair requirements"):
+        run(inst)
+    with pytest.raises(ValueError, match="pair requirements"):
+        baseline_independent_pairs(inst)
+
 def test_json_and_csv_shapes():
     sol = run(_single_edge())
     doc = json.loads(sol.to_json())
     assert doc["schema"] == "capnet.multicopy.v1"
     assert doc["copies"] == [3]
     assert doc["cost"] == "9"
-    row = sol.csv_row(oracle_cost=Fraction(9))
-    assert row == "1,21/2,9,189/2,9,1"
-    assert sol.csv_row() == "1,21/2,9,189/2,,"

@@ -9,6 +9,7 @@ import pytest
 from capnet import oracle
 from capnet.errors import CapabilityError, InfeasibleError, InstanceFormatError
 from capnet.graphs import (
+    EXHAUSTIVE_LIMIT,
     CutFamily,
     Edge,
     Instance,
@@ -22,7 +23,6 @@ from capnet.graphs import (
 )
 from capnet.oracle import (
     MULTICOPY_EDGE_LIMIT,
-    ROW_VERTEX_LIMIT,
     SUBSET_EDGE_LIMIT,
     LabelCoverInstance,
     constraint_rows,
@@ -85,8 +85,8 @@ def test_rows_kway_cover_every_partition():
 
 
 def test_rows_vertex_cap():
-    path = tuple((v, v + 1, 1, 1) for v in range(ROW_VERTEX_LIMIT))
-    inst = Instance(ROW_VERTEX_LIMIT + 1, path, Uniform(1))
+    path = tuple((v, v + 1, 1, 1) for v in range(EXHAUSTIVE_LIMIT))
+    inst = Instance(EXHAUSTIVE_LIMIT + 1, path, Uniform(1))
     with pytest.raises(CapabilityError):
         constraint_rows(inst)
 
