@@ -311,7 +311,7 @@ def _add_common(parser, *flags, seed_required=False):
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if "--force" in flags:
         parser.add_argument("--force", action="store_true",
-                            help="lift desk-scale size caps")
+                            help="lift the exact oracle's size caps")
 
 
 def _add_generator_flags(parser):
@@ -377,6 +377,10 @@ def main(argv=None):
             args.gamma = Fraction(args.gamma)
         except (ValueError, ZeroDivisionError):
             parser.error(f"bad --gamma value {args.gamma!r}")
+    if getattr(args, "force", False) and not getattr(args, "oracle", True):
+        _emit_error("UsageError",
+                    "--force lifts the exact oracle's size caps, so it needs --oracle")
+        return 1
     started = time.monotonic()
     try:
         code = args.func(args)

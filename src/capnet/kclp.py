@@ -309,6 +309,21 @@ def _violations(family, variant, num, den, caps, kc):
     return [(v, i, a) for i, found in hits for v, a in found]
 
 
+def _first_batch(found, rank):
+    """The first SEPARATION_BATCH of `found`, (slack, row, edge_set)
+    triples, ordered by slack, then rank[row], then edge_set.
+
+    Every slack is over the same den, so they order as the slacks
+    themselves do.  Only the rows at or below the batch's largest slack
+    can make the batch, so only those get the full key.
+    """
+    if len(found) > SEPARATION_BATCH:
+        cutoff = sorted([v[0] for v in found])[SEPARATION_BATCH - 1]
+        found = [v for v in found if v[0] <= cutoff]
+    found = sorted(found, key=lambda v: (v[0], rank[v[1]], v[2]))
+    return found[:SEPARATION_BATCH]
+
+
 def _constraint(family, den, caps, i, edge_set, clamp=True):
     """Family row i's KCConstraint with `edge_set` taken as bought, its
     cut of capacity caps[i] / den under uhat (see _scaled)."""
@@ -427,15 +442,9 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
                 variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations)
             )
             return sol, cert
-        # Every slack in `found` is over the same den, so they order as the
-        # slacks themselves do.
-        rank = family.rank
-        new = sorted(
-            (v for v in found if (v[1], v[2]) not in pool),
-            key=lambda v: (v[0], rank[v[1]], v[2]),
-        )
+        new = [v for v in found if (v[1], v[2]) not in pool]
         invariant(new, "separation reported violations but none were new")
-        for _, i, edge_set in new[:SEPARATION_BATCH]:
+        for _, i, edge_set in _first_batch(new, family.rank):
             con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
             dense = [0] * instance.m
             for e, c in con.coefficients:

@@ -73,13 +73,29 @@ def constraint_rows(instance):
         if need > rows.get(key, 0):
             rows[key] = need
     # Two distinct keys of one size never contain each other, so a row
-    # can only be implied by a smaller one, kept or implied in turn.
+    # can only be implied by a smaller one, kept or implied in turn.  Bit k
+    # of crosses[e] is set when the k-th kept row crosses edge e, so the
+    # kept rows inside a key are those crossing no edge outside it.
     kept = []
+    crosses = [0] * instance.m
     for key, need in sorted(rows.items(), key=lambda row: len(row[0])):
-        mask = sum(1 << e for e in key)
-        if all(a & mask != a or nd < need for a, nd, _ in kept):
-            kept.append((mask, need, key))
-    return tuple(sorted((key, need) for _, need, key in kept))
+        outside = 0
+        inside = set(key)
+        for e, bits in enumerate(crosses):
+            if e not in inside:
+                outside |= bits
+        within = ((1 << len(kept)) - 1) & ~outside
+        while within:
+            low = within & -within
+            if kept[low.bit_length() - 1][1] >= need:
+                break
+            within ^= low
+        else:
+            bit = 1 << len(kept)
+            for e in key:
+                crosses[e] |= bit
+            kept.append((key, need))
+    return tuple(sorted(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -16,20 +16,27 @@ lcm of its denominators, the costs by the lcm of theirs; a positive row
 scale only rescales that row's surplus variable, and a positive cost
 scale only rescales the reduced costs, so neither changes a ratio-test
 comparison or a reduced-cost sign.  The tableau keeps one column per
-nonbasic variable (a basic column is a unit column and is not stored),
-and every entry, reduced cost and basic value is an integer over one
-common denominator D > 0, which is |det B| of the current basis B.  A
-pivot on element p is fraction-free in the Bareiss/Edmonds style
-(Applegate, Cook, Dash and Espinoza, *Exact solutions to LP problems*,
-ORL 2007):
+nonbasic variable (a basic column is a unit column and is not stored).
+Its entries are minors of the input, so they are kept fraction-free in
+the Bareiss/Edmonds style (Applegate, Cook, Dash and Espinoza, *Exact
+solutions to LP problems*, ORL 2007): with D = |det B| of the current
+basis B, row i holds integers over its own scale[i], the value D had
+when a pivot last touched the row.  Its entries at D are
+row * D / scale[i], which are integers.  The reduced costs are always
+over D.  A pivot on element p in column q, with the pivot row brought to
+D first and negated when p < 0, maps a row whose column-q entry f is
+nonzero to
 
-    T'[i][j] = (T[i][j] * p - T[i][q] * T[p][j]) // D,   then D = p,
+    T'[i][j] = (T[i][j] * p - f * T[p][j]) // scale[i],
 
-with the pivot row negated first when p < 0.  The division is exact.
-The basic values are a last column of the tableau, D times each row's
+which is exact by the Bareiss identity.  On the columns where the pivot
+row is 0 this is T[i][j] * p // scale[i].  Then scale[i] = p, and so
+does the next D.  A row with f = 0 is left alone: its values only
+change scale, which costs nothing until a pivot touches it.  The basic
+values are a last column of the tableau, scale[i] times each row's
 basic value: a pivot updates them with the same formula and a bound flip
 by one column, so no pivot re-derives them, and the ratio test compares
-integer cross products instead of Fractions.
+integer cross products of one row's entries instead of Fractions.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ def solve_box_covering_lp(costs, rows):
 
     r = len(rows)
     den = 1
+    scale = [1] * r                 # D at the pivot that last touched each row
     var = list(range(m))            # variable of each nonbasic column
     at_upper = [True] * m           # bound of each nonbasic column's variable
     basis = [m + i for i in range(r)]  # structurals are < m; surplus >= m is unbounded
@@ -87,14 +95,14 @@ def solve_box_covering_lp(costs, rows):
                     x[var[j]] = _ONE
             for i in range(r):
                 if basis[i] < m:
-                    x[basis[i]] = Fraction(tab[i][m], den)
+                    x[basis[i]] = Fraction(tab[i][m], scale[i])
             objective = sum((costs[j] * x[j] for j in range(m)), _ZERO)
             return x, objective
 
         # Ratio test: entering moves by t >= 0 away from its current bound;
-        # basic variable i changes at rate -direction * tab[i][col] / den, so
-        # its step to a bound is num / rate with den cancelled.  Steps are
-        # compared as cross products of positive denominators.
+        # basic variable i changes at rate -direction * tab[i][col] / scale[i],
+        # so its step to a bound is num / rate with scale[i] cancelled.  Steps
+        # are compared as cross products of positive denominators.
         direction = -1 if at_upper[col] else 1
         limit = (1, 1) if entering < m else None  # own bound-to-bound distance
         block_row = -1
@@ -108,7 +116,7 @@ def solve_box_covering_lp(costs, rows):
             elif rate < 0:
                 if basis[i] >= m:
                     continue
-                num = den - row[m]
+                num = scale[i] - row[m]
                 rate = -rate
                 to_upper = True
             else:
@@ -136,29 +144,42 @@ def solve_box_covering_lp(costs, rows):
 
         # Pivot: the leaving variable takes over column col.  Its column is
         # the unit column D * e_p, which the same formula maps to
-        # -sign * tab[i][col] off the pivot row and sign * D on it.  The
-        # last column is mapped as if both variables sat at 0, then the
+        # -sign * f * D / scale[i] off the pivot row and sign * D on it.
+        # The last column is mapped as if both variables sat at 0, then the
         # new basic value gains 1 if entering left its upper bound, and
         # every row loses the leaving column if leaving stops at 1.
         prow = tab[block_row]
+        if scale[block_row] != den:
+            prow = [v * den // scale[block_row] for v in prow]
         piv = prow[col]
         sign = 1 if piv > 0 else -1
         if sign < 0:
             prow = [-v for v in prow]
             piv = -piv
+        support = [(j, w) for j, w in enumerate(prow) if w and j != col]
         for i in range(r):
-            if i == block_row:
-                continue
             row = tab[i]
             f = row[col]
-            if f:
-                row = [(v * piv - f * w) // den for v, w in zip(row, prow)]
-                row[col] = -sign * f
-                if block_to_upper:
-                    row[m] += sign * f
-                tab[i] = row
-            elif piv != den:
-                tab[i] = [v * piv // den for v in row]
+            if not f or i == block_row:
+                continue
+            # Off the pivot row's support the row only changes scale, s to
+            # piv: a product when s divides piv, nothing when they are equal.
+            s = scale[i]
+            q, rest = divmod(piv, s)
+            if rest:
+                new = [v * piv // s for v in row]
+            elif q > 1:
+                new = [v * q for v in row]
+            else:
+                new = row
+            for j, w in support:
+                new[j] = (row[j] * piv - f * w) // s
+            g = sign * f * den // s
+            new[col] = -g
+            if block_to_upper:
+                new[m] += g
+            tab[i] = new
+            scale[i] = piv
         f = zrow[col]
         zrow = [(v * piv - f * w) // den for v, w in zip(zrow, prow)]
         zrow[col] = -sign * f
@@ -168,6 +189,7 @@ def solve_box_covering_lp(costs, rows):
         if block_to_upper:
             prow[m] -= sign * den
         tab[block_row] = prow
+        scale[block_row] = piv
         den = piv
 
         var[col] = basis[block_row]

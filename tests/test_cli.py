@@ -180,6 +180,17 @@ def test_solve_refuses_gamma_without_meaning(tmp_path, capsys):
         assert err["error"] == "ValueError" and "gamma" in err["message"]
 
 
+def test_force_needs_the_oracle(tmp_path, capsys):
+    path = _write_instance(tmp_path, gen_random("uniform", n=5, m=7, seed=1))
+    bench = ["bench", "--alg", "uniform", "--trials", "1", "--seed", "1", "--n", "5", "--m", "7"]
+    for argv in (["solve", path, "--seed", "1"], bench):
+        assert main(argv + ["--force"]) == 1
+        err = _stderr_error(capsys)
+        assert err["error"] == "UsageError" and "--oracle" in err["message"]
+        assert main(argv + ["--force", "--oracle"]) == 0
+        capsys.readouterr()
+
+
 def test_solve_infeasible_instance(tmp_path, capsys):
     split = Instance(4, ((0, 1, 2, 1), (2, 3, 2, 1)), Uniform(1))
     path = _write_instance(tmp_path, split)

@@ -466,6 +466,21 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
     assert len(rounds[-1]) < len(small)
 
 
+def test_first_batch_is_the_head_of_the_full_sort():
+    # Few distinct slacks and ranks, so many rows tie at the cut-off slack
+    # and some tie on slack and rank and differ only in the edge set.
+    rng = random.Random(40)
+    batch = kclp.SEPARATION_BATCH
+    for trial in range(200):
+        rank = [rng.randrange(6) for _ in range(30)]
+        rows = {(rng.randrange(30), tuple(sorted(rng.sample(range(5), rng.randint(0, 2)))))
+                for _ in range(rng.randint(1, 3 * batch))}
+        found = [(-rng.randint(1, 4) * (1 + trial % 3), i, a) for i, a in rows]
+        rng.shuffle(found)
+        expected = sorted(found, key=lambda v: (v[0], rank[v[1]], v[2]))[:batch]
+        assert kclp._first_batch(found, rank) == expected
+
+
 def test_capability_guards():
     n = 18
     edges = tuple((i, i + 1, 3, 1) for i in range(n - 1))

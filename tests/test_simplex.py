@@ -230,7 +230,7 @@ def _reference_solve(costs, rows):
         for i in range(r):
             if i != block_row and tab[i][entering]:
                 f = tab[i][entering]
-                tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+                tab[i] = [v - f * w if w else v for v, w in zip(tab[i], prow)]
         f = zrow[entering]
         zrow = [v - f * w for v, w in zip(zrow, prow)]
 
@@ -273,6 +273,42 @@ def test_same_vertex_as_reference_on_solve_good_pools(monkeypatch, seed):
     monkeypatch.setattr("capnet.kclp.solve_box_covering_lp", recording)
     solve_good(gen_random("uniform", 8, 16, seed))
     assert calls
+    for costs, rows in calls:
+        assert solve_box_covering_lp(costs, rows) == _reference_solve(costs, rows)
+
+
+def _sparse_covering_lp(rng):
+    """40-80 rows of 2-4 nonzeros over 8-16 columns: most pivots leave
+    most rows alone, and a row left alone for several pivots can become
+    the pivot row later."""
+    m = rng.randint(8, 16)
+    costs = [Fraction(rng.randint(1, 20)) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(40, 80)):
+        coeffs = [0] * m
+        for e in rng.sample(range(m), rng.randint(2, 4)):
+            coeffs[e] = rng.randint(1, 9)
+        rows.append((coeffs, rng.randint(1, sum(coeffs))))
+    return costs, rows
+
+
+def test_same_vertex_as_reference_on_sparse_lps():
+    rng = random.Random(15)
+    for _ in range(12):
+        costs, rows = _sparse_covering_lp(rng)
+        assert solve_box_covering_lp(costs, rows) == _reference_solve(costs, rows)
+
+
+def test_same_vertex_as_reference_on_kway_pools(monkeypatch):
+    calls = []
+
+    def recording(costs, rows):
+        calls.append((list(costs), [(list(c), rhs) for c, rhs in rows]))
+        return solve_box_covering_lp(costs, rows)
+
+    monkeypatch.setattr("capnet.kclp.solve_box_covering_lp", recording)
+    solve_good(gen_random("kway", 7, 12, 1, levels=2))
+    assert len(calls) > 2
     for costs, rows in calls:
         assert solve_box_covering_lp(costs, rows) == _reference_solve(costs, rows)
 
