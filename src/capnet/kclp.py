@@ -49,6 +49,7 @@ from the instance once, as one VariantRecord.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -314,14 +315,11 @@ def _first_batch(found, rank):
     triples, ordered by slack, then rank[row], then edge_set.
 
     Every slack is over the same den, so they order as the slacks
-    themselves do.  Only the rows at or below the batch's largest slack
-    can make the batch, so only those get the full key.
+    themselves do.  Most rows tie on slack at the batch's cut-off (in
+    round 1 every row's slack is minus its demand), so a heap of the
+    batch is kept instead of sorting them all.
     """
-    if len(found) > SEPARATION_BATCH:
-        cutoff = sorted([v[0] for v in found])[SEPARATION_BATCH - 1]
-        found = [v for v in found if v[0] <= cutoff]
-    found = sorted(found, key=lambda v: (v[0], rank[v[1]], v[2]))
-    return found[:SEPARATION_BATCH]
+    return heapq.nsmallest(SEPARATION_BATCH, found, key=lambda v: (v[0], rank[v[1]], v[2]))
 
 
 def _constraint(family, den, caps, i, edge_set, clamp=True):

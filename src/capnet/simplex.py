@@ -30,8 +30,8 @@ nonzero to
     T'[i][j] = (T[i][j] * p - f * T[p][j]) // scale[i],
 
 which is exact by the Bareiss identity.  On the columns where the pivot
-row is 0 this is T[i][j] * p // scale[i].  Then scale[i] = p, and so
-does the next D.  A row with f = 0 is left alone: its values only
+row is 0 this is T[i][j] * p // scale[i].  Then scale[i] = p, which is
+also the next D.  A row with f = 0 is left alone: its values only
 change scale, which costs nothing until a pivot touches it.  The basic
 values are a last column of the tableau, scale[i] times each row's
 basic value: a pivot updates them with the same formula and a bound flip
@@ -63,8 +63,8 @@ def solve_box_covering_lp(costs, rows):
         return [Fraction(0)] * m, Fraction(0)
 
     # Row i, scaled to integers and stored as -coeffs.x + s = -rhs, keeps
-    # its m nonbasic entries and then D times its basic value, which at
-    # the start (every structural at 1, D = 1) is coeffs.1 - rhs.
+    # its m nonbasic entries and then scale[i] times its basic value, which
+    # at the start (every structural at 1, scale[i] = D = 1) is coeffs.1 - rhs.
     tab = []
     for coeffs, rhs in rows:
         if len(coeffs) != m:
