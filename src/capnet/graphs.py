@@ -26,8 +26,11 @@ crossing edges and the demand the requirements put on it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,13 +145,6 @@ def capacity_weighting(instance):
     return tuple(e.capacity for e in instance.edges)
 
 
-def fractional_capacity(instance, x):
-    """Capacity scaled by a fractional selection: weight u(e) * x_e."""
-    if len(x) != instance.m:
-        raise ValueError("x must assign a value to every edge")
-    return tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
-
-
 def subset_weighting(instance, edge_subset):
     """Capacity on the chosen edges, zero elsewhere."""
     chosen = set(edge_subset)
@@ -240,21 +236,6 @@ EXHAUSTIVE_LIMIT = 16  # bipartitions
 KWAY_LIMIT = 10        # partitions, and every cut of a k-way requirement
 
 
-def row_requirement(instance, shape):
-    """The demand the instance requirements put on the cut `shape`.
-
-    `shape` assigns each vertex a block; block 1 is the source side of a
-    directed cut.  Uniform rows carry R, k-way rows the bound of their
-    block count (none past the last level), and pair rows the largest
-    demand whose pair they separate.
-    """
-    req = instance.requirements
-    if isinstance(req, Pairs):
-        crosses = operator.gt if instance.directed else operator.ne  # as CutFamily.crossing
-        return max((r for s, t, r in req.pairs if crosses(shape[s], shape[t])), default=0)
-    return _blocks_requirement(req, max(shape) + 1)
-
-
 def _blocks_requirement(req, blocks):
     # What uniform or k-way requirements ask of every cut into `blocks` blocks.
     if isinstance(req, Uniform):
@@ -263,67 +244,121 @@ def _blocks_requirement(req, blocks):
     return req.Rs[level] if level < len(req.Rs) else 0
 
 
+_NONZERO = bytes([0]) + bytes([1]) * 255  # translate table: byte b -> (b != 0)
+
+
+# Bounded: the benchmark and a test run meet a handful of keys, and a
+# table holds every row's shape and rank (about 4 MB at n = 16).
+@functools.lru_cache(maxsize=8)
+def _shape_table(n, sizes, directed):
+    """(shapes, blocks, rank, columns) shared by every CutFamily of this
+    key: the row shapes, (block count, rows) per level, the rows' `rank`,
+    and each vertex's column, byte i holding its block in row i."""
+    if directed:
+        shapes = [bytes(mask >> v & 1 for v in range(n)) for mask in range(1, (1 << n) - 1)]
+        blocks = ((2, len(shapes)),)
+    else:
+        levels = [(p, [bytes(a) for a in iter_partitions(n, p)]) for p in sizes or (2,)]
+        shapes = [a for _, level in levels for a in level]
+        blocks = tuple((p, len(level)) for p, level in levels)
+    # A part as bytes, 1 at its vertices and 2 elsewhere with the trailing
+    # 2s stripped, sorts like its ascending vertex tuple; a 0 byte closes
+    # each part, so a shorter part sorts first.
+    tables = [bytes(1 if b == k else 2 for b in range(256)) for k in range(n)]
+    if sizes is not None:
+        keys = [b"\0".join([a.translate(t).rstrip(b"\2") for t in tables[: max(a) + 1]])
+                for a in shapes]
+    else:
+        keys = [a.translate(tables[1]).rstrip(b"\2") for a in shapes]
+    rank = [0] * len(keys)
+    for position, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        rank[i] = position
+    blob = b"".join(shapes)
+    return tuple(shapes), blocks, tuple(rank), tuple(blob[u::n] for u in range(n))
+
+
 class CutFamily:
     """Every canonical cut of an instance, enumerated once.
 
     Row i is `shapes[i]` (a vertex -> block assignment, one byte per
-    vertex), `crossing[i]` (the ascending indices of the edges it cuts)
-    and `requirement[i]` (its `row_requirement`).  With `sizes` None the
-    rows are the canonical bipartitions, vertex 0 outside the side, and
-    n <= 16; a directed instance has one row per source side instead.
-    With `sizes` the rows are the partitions into each listed block
-    count, in `iter_partitions` order, and n <= 10.  Scans filter the
-    rows by their `capacities` and build Cut or KWayCut objects only for
-    the rows they keep.  Partition rows often share their crossing edges,
-    so `distinct` lists each crossing tuple once and `groups` each
-    (crossing, requirement) pair once.
+    vertex; block 1 is a directed cut's source side), `crossing[i]` (the
+    ascending indices of the edges it cuts) and `requirement[i]`: R, the
+    bound of its block count (none past the last level), or the largest
+    demand whose pair it separates.  With `sizes` None the rows are the
+    canonical bipartitions, vertex 0 outside the side, and n <= 16; a
+    directed instance has one row per source side instead.  With `sizes`
+    the rows are the partitions into each listed block count, in
+    `iter_partitions` order, and n <= 10.  `rank[i]` is row i's position
+    when the rows are sorted by the parts (or side) of their KWayCut (or
+    Cut), as ascending vertex tuples.  Scans filter the rows by their
+    `capacities` and build cuts only for the rows they keep.
+
+    `shapes` and `rank` come from a bounded cache shared by every family
+    with the same n, block counts and `directed`.  Each edge's crossing
+    lane over the rows comes from the byte columns of its two ends.
+    `distinct` lists each crossing tuple once (rows that share one hold
+    the same tuple) and `groups` each (crossing, requirement) pair once.
     """
 
     def __init__(self, instance, sizes=None):
-        n = instance.n
+        n, m, directed = instance.n, instance.m, instance.directed
         self.kway = sizes is not None
         limit = KWAY_LIMIT if self.kway else EXHAUSTIVE_LIMIT
         if n > limit:
             raise CapabilityError(f"cuts are enumerated exhaustively; capped at n = {limit}, got {n}")
-        if instance.directed:
-            sides = range(1, (1 << n) - 1)
-            groups = [(2, [bytes(mask >> v & 1 for v in range(n)) for mask in sides])]
-        else:
-            groups = [(p, [bytes(a) for a in iter_partitions(n, p)]) for p in sizes or (2,)]
         self.instance = instance
-        self.shapes = tuple(a for _, shapes in groups for a in shapes)  # bytes: tuples cost 3x
-        ends = [(i, e.tail, e.head) for i, e in enumerate(instance.edges)]
-        if instance.directed:  # an arc crosses from the source side (block 1) out
-            crossing = [tuple([i for i, u, v in ends if a[u] > a[v]]) for a in self.shapes]
+        self.shapes, blocks, self.rank, columns = _shape_table(
+            n, None if sizes is None else tuple(sizes), directed)
+        rows = len(self.shapes)
+        if directed:  # an arc crosses from the source side (block 1) out
+            def lane(u, v):
+                return bytes(map(operator.gt, columns[u], columns[v]))
         else:
-            crossing = [tuple([i for i, u, v in ends if a[u] != a[v]]) for a in self.shapes]
-        self.crossing = tuple(crossing)
+            ints = [int.from_bytes(c, "little") for c in columns]
+
+            def lane(u, v):
+                return (ints[u] ^ ints[v]).to_bytes(rows, "little").translate(_NONZERO)
+        # Byte e of row i's key is 1 when the row cuts edge e.
+        joined = b"".join([lane(e.tail, e.head) for e in instance.edges])
+        index = {}
+        slot = [index.setdefault(joined[i::rows], len(index)) for i in range(rows)]
+        crossings = tuple(tuple(itertools.compress(range(m), key)) for key in index)
+        self.distinct = crossings, slot
+        self.crossing = tuple(map(crossings.__getitem__, slot))
+        # Edge e's lane over the distinct crossings, one 64-bit field each.
+        keys, field = b"".join(index), bytearray(8 * len(crossings))
+        self._packed = []
+        for e in range(m):
+            field[::8] = keys[e::m]
+            self._packed.append(int.from_bytes(field, "little"))
         req = instance.requirements
         if isinstance(req, Pairs):
-            self.requirement = tuple(row_requirement(instance, a) for a in self.shapes)
+            need = [0] * rows
+            for s, t, r in sorted(req.pairs, key=operator.itemgetter(2)):  # the largest last
+                for i in itertools.compress(range(rows), lane(s, t)):
+                    need[i] = r
+            self.requirement = tuple(need)
         else:  # one demand per block count
-            self.requirement = tuple(
-                need for p, shapes in groups for need in [_blocks_requirement(req, p)] * len(shapes)
-            )
+            self.requirement = tuple(itertools.chain.from_iterable(
+                [_blocks_requirement(req, p)] * count for p, count in blocks))
 
     def capacities(self, weighting):
         """(sums, den): row i's exact capacity under `weighting` is
         sums[i] / den, summed over integer numerators with one common
         denominator den (1 for an integer weighting)."""
         nums, den = over_common_denominator(weighting)
-        weight = nums.__getitem__
+        if len(nums) != len(self._packed):
+            raise ValueError("the weighting must give every edge a weight")
         crossings, slot = self.distinct
-        sums = [sum(map(weight, c)) for c in crossings]
+        if min(nums, default=0) >= 0 and sum(nums) < 1 << 64:  # every sum fits its field
+            packed = sum(map(operator.mul, nums, self._packed))
+            sums = array("Q", packed.to_bytes(8 * len(crossings), "little"))
+            if sys.byteorder == "big":
+                sums.byteswap()
+        else:
+            weight = nums.__getitem__
+            sums = [sum(map(weight, c)) for c in crossings]
         return list(map(sums.__getitem__, slot)), den
-
-    @functools.cached_property
-    def distinct(self):
-        """(crossings, slot): the distinct crossing tuples, in the order
-        of the first row crossing each, and every row's index into them,
-        so crossings[slot[i]] == crossing[i].  Built on first use."""
-        index = {}
-        slot = [index.setdefault(c, len(index)) for c in self.crossing]
-        return tuple(index), slot
 
     @functools.cached_property
     def groups(self):
@@ -334,25 +369,6 @@ class CutFamily:
         for i, key in enumerate(zip(self.distinct[1], self.requirement)):
             index.setdefault(key, []).append(i)
         return [(s, need, rows) for (s, need), rows in index.items()]
-
-    @functools.cached_property
-    def rank(self):
-        """Each row's position when the rows are sorted by their cut's
-        parts (partition rows) or side, as ascending vertex tuples in the
-        order its KWayCut or Cut lists them.  Built on first use."""
-        # A part as bytes, 1 at its vertices and 2 elsewhere with the
-        # trailing 2s stripped, sorts like its ascending vertex tuple; a 0
-        # byte closes each part, so a shorter part sorts first.
-        tables = [bytes(1 if b == k else 2 for b in range(256)) for k in range(self.instance.n)]
-        if self.kway:
-            keys = [b"\0".join([a.translate(t).rstrip(b"\2") for t in tables[: max(a) + 1]])
-                    for a in self.shapes]
-        else:
-            keys = [a.translate(tables[1]).rstrip(b"\2") for a in self.shapes]
-        rank = [0] * len(keys)
-        for position, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-            rank[i] = position
-        return rank
 
     def cut(self, i, capacity):
         """Row i as a KWayCut (partition rows) or a Cut, with the

@@ -157,10 +157,6 @@ class FractionalSolution:
             (e.cost * v for e, v in zip(self.instance.edges, self.x)), Fraction(0)
         )
 
-    def nearly_integral(self):
-        # Recomputed on demand so it can never go stale.
-        return tuple(i for i, v in enumerate(self.x) if v >= self.threshold)
-
 
 @dataclass(frozen=True)
 class KCConstraint:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from capnet.graphs import Edge, Instance, KWay, Pairs, Uniform
-from capnet.util import ceil_div, iter_partitions
+from capnet.util import ceil_div, iter_partitions, over_common_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,67 @@ def brute_min_kway_cut(instance, weights, parts):
         if best is None or cap < best:
             best = cap
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference weighting and cut family
+
+def fractional_capacity(instance, x):
+    """Capacity scaled by a fractional selection: weight u(e) * x_e."""
+    if len(x) != instance.m:
+        raise ValueError("x must assign a value to every edge")
+    return tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
+
+
+class _reference_family:
+    """CutFamily built row by row: a tuple of crossing edges per shape, a
+    max over the pairs per row, a sort on each row's parts as vertex
+    tuples for `rank`, and one sum per distinct crossing tuple for
+    `capacities`."""
+
+    def __init__(self, instance, sizes=None):
+        n, edges = instance.n, instance.edges
+        if instance.directed:
+            levels = [(2, [tuple(mask >> v & 1 for v in range(n)) for mask in range(1, (1 << n) - 1)])]
+        else:
+            levels = [(p, list(iter_partitions(n, p))) for p in sizes or (2,)]
+        self.shapes = [bytes(a) for _, shapes in levels for a in shapes]
+        if instance.directed:
+            def cuts(a, u, v):
+                return a[u] > a[v]
+        else:
+            def cuts(a, u, v):
+                return a[u] != a[v]
+        self.crossing = [tuple(i for i, e in enumerate(edges) if cuts(a, e.tail, e.head))
+                         for a in self.shapes]
+        req = instance.requirements
+        if isinstance(req, Pairs):
+            self.requirement = [max((r for s, t, r in req.pairs if cuts(a, s, t)), default=0)
+                                for a in self.shapes]
+        else:
+            self.requirement = []
+            for p, shapes in levels:
+                need = req.R if isinstance(req, Uniform) else (
+                    req.Rs[p - 2] if p - 2 < len(req.Rs) else 0)
+                self.requirement += [need] * len(shapes)
+        index = {}
+        self.slot = [index.setdefault(c, len(index)) for c in self.crossing]
+        self.crossings = list(index)
+        groups = {}
+        for i, key in enumerate(zip(self.slot, self.requirement)):
+            groups.setdefault(key, []).append(i)
+        self.groups = [(s, need, rows) for (s, need), rows in groups.items()]
+        blocks = (lambda a: range(max(a) + 1)) if sizes is not None else (lambda a: (1,))
+        keys = [tuple(tuple(v for v, b in enumerate(a) if b == k) for k in blocks(a))
+                for a in self.shapes]
+        self.rank = [0] * len(keys)
+        for position, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            self.rank[i] = position
+
+    def capacities(self, weighting):
+        nums, den = over_common_denominator(weighting)
+        sums = [sum(nums[e] for e in c) for c in self.crossings]
+        return [sums[s] for s in self.slot], den
 
 
 # ---------------------------------------------------------------------------

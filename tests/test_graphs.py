@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from capnet import graphs
 from capnet.cutenum import KWAY_LIMIT
 from capnet.errors import CapabilityError, InstanceFormatError
 from capnet.graphs import (
@@ -20,7 +21,6 @@ from capnet.graphs import (
     crossing_edges,
     cut_from_side,
     cut_family,
-    fractional_capacity,
     instance_from_dict,
     instance_to_dict,
     kway_cut_from_assignment,
@@ -32,10 +32,12 @@ from capnet.graphs import (
 from capnet.oracle import gen_random
 
 from conftest import (
+    _reference_family,
     brute_feasible,
     brute_global_min_cut,
     brute_min_kway_cut,
     brute_min_st_cut,
+    fractional_capacity,
     side_capacity,
 )
 
@@ -241,6 +243,54 @@ def test_cut_family_distinct_view_sums_each_row(sizes, directed):
         members += rows
     assert sorted(members) == list(range(len(family.crossing)))
     assert len({(s, need) for s, need, _ in family.groups}) == len(family.groups)
+
+
+def _directed_pairs(seed):
+    base = gen_random("pairs", n=5 + seed % 4, m=12, seed=seed, pairs=3)
+    return Instance(base.n, base.edges, base.requirements, directed=True)
+
+
+REFERENCE_CASES = (  # (instance, sizes)
+    [(gen_random("uniform", n, 2 * n, 40 + n), None) for n in range(2, 13)]
+    + [(gen_random("kway", n, n + 5, 60 + 10 * levels + n, levels=levels),
+        range(2, levels + 2)) for levels in (1, 2, 3) for n in range(levels + 2, 10)]
+    + [(_directed_pairs(seed), None) for seed in range(70, 78)]
+)
+
+
+@pytest.mark.parametrize("index", range(len(REFERENCE_CASES)))
+def test_cut_family_matches_the_row_by_row_reference(index):
+    inst, sizes = REFERENCE_CASES[index]
+    family, ref = CutFamily(inst, sizes), _reference_family(inst, sizes)
+    assert list(family.shapes) == ref.shapes
+    assert list(family.crossing) == ref.crossing
+    assert list(family.requirement) == ref.requirement
+    assert list(family.distinct[0]) == ref.crossings and family.distinct[1] == ref.slot
+    assert family.groups == ref.groups
+    assert list(family.rank) == ref.rank
+    rng = random.Random(index)
+    weightings = [  # rational, about a third of the weights 0
+        [Fraction(rng.choice((0, rng.randint(1, 50))), rng.randint(1, 9)) for _ in range(inst.m)]
+        for _ in range(4)
+    ]
+    weightings.append([0] * inst.m)
+    # Sums past 2**64, or a negative weight, take the per-tuple sum.
+    weightings.append([1 << 64] + [rng.randint(0, 9) for _ in range(inst.m - 1)])
+    weightings.append([-3] + [Fraction(rng.randint(0, 9), 7) for _ in range(inst.m - 1)])
+    for w in weightings:
+        assert family.capacities(w) == ref.capacities(w)
+    with pytest.raises(ValueError):
+        family.capacities(weightings[0][1:])
+
+
+def test_cut_families_of_one_shape_share_a_bounded_table():
+    a = gen_random("kway", 7, 10, 1, levels=2)
+    b = gen_random("kway", 7, 12, 2, levels=2)
+    fa, fb = CutFamily(a, range(2, 4)), CutFamily(b, (2, 3))
+    assert fa.shapes is fb.shapes and fa.rank is fb.rank
+    assert fa.crossing != fb.crossing
+    assert CutFamily(a).shapes is not fa.shapes  # bipartitions: another key
+    assert graphs._shape_table.cache_info().maxsize is not None
 
 
 def test_fractional_capacity_scales_flows():

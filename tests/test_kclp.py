@@ -18,7 +18,6 @@ from capnet.graphs import (
     Uniform,
     check_feasible,
     cut_family,
-    fractional_capacity,
 )
 from capnet.kclp import (
     FractionalSolution,
@@ -33,9 +32,9 @@ from capnet.oracle import (
     gen_triangle_gap,
 )
 from capnet.rounding import round_solution
-from capnet.util import log2_fixed
+from capnet.util import log2_fixed, over_common_denominator
 
-from conftest import brute_feasible
+from conftest import brute_feasible, fractional_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -522,5 +521,6 @@ def test_fractional_solution_validation():
         FractionalSolution(inst, (Fraction(1), Fraction(0), Fraction(0)), Fraction(0))
     sol = FractionalSolution(inst, ("1", "1/2", "0"), Fraction(1, 80))
     assert sol.x == (Fraction(1), Fraction(1, 2), Fraction(0))
-    assert sol.nearly_integral() == (0, 1)
+    num, den = over_common_denominator(sol.x)
+    assert kclp._frozen(sol, num, den) == {0, 1}  # x_e >= sol.threshold
     assert fractional_capacity(inst, sol.x)[1] == Fraction(3, 2)
