@@ -64,7 +64,7 @@ from .graphs import (
     cut_family,
     describe_cut,
 )
-from .simplex import solve_box_covering_lp
+from .simplex import RowStore, solve_box_covering_lp
 from .util import format_rational, log2_fixed, over_common_denominator
 
 SEPARATION_BATCH = 40
@@ -415,7 +415,7 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
 
     costs = [e.cost for e in instance.edges]
     pool = {}      # (row, edge_set) -> KCConstraint, in the order added
-    lp_rows = []   # (dense coefficients, rhs) of each pool row
+    lp_rows = RowStore(instance.m)  # each pool row, dense, scaled and packed once
     cap = 50 * max(1, instance.m) * instance.n
     rounds = 0
     x = [Fraction(0)] * instance.m
@@ -438,12 +438,14 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
             return sol, cert
         new = [v for v in found if (v[1], v[2]) not in pool]
         invariant(new, "separation reported violations but none were new")
+        batch = []
         for _, i, edge_set in _first_batch(new, family.rank):
             con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
             dense = [0] * instance.m
             for e, c in con.coefficients:
                 dense[e] = c
-            lp_rows.append((dense, con.rhs))
+            batch.append((dense, con.rhs))
+        lp_rows.extend(batch)
     raise IterationLimitError("cutting-plane loop exceeded its round cap", tuple(pool.values()))
 
 

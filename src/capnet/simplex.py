@@ -7,179 +7,279 @@ comparisons against them are meaningful.  The solver assumes x = 1
 satisfies every row (the callers only generate inequalities that the full
 edge set meets), which gives a feasible starting basis for free: all
 structural variables nonbasic at their upper bound, one surplus variable
-basic per row.  From there it runs the upper-bounded simplex method with
-Bland's rule, so every pivot choice is the lowest eligible index and the
-run is deterministic and cycle-free.
+s_i = a_i.x - b_i basic per row.  From there it runs the upper-bounded
+simplex method with Bland's rule, so every pivot choice is the lowest
+eligible index and the run is deterministic and cycle-free.
 
-Arithmetic is on Python integers only.  Each input row is scaled by the
-lcm of its denominators, the costs by the lcm of theirs; a positive row
-scale only rescales that row's surplus variable, and a positive cost
-scale only rescales the reduced costs, so neither changes a ratio-test
-comparison or a reduced-cost sign.  The tableau keeps one column per
-nonbasic variable (a basic column is a unit column and is not stored).
-Its entries are minors of the input, so they are kept fraction-free in
-the Bareiss/Edmonds style (Applegate, Cook, Dash and Espinoza, *Exact
-solutions to LP problems*, ORL 2007): with D = |det B| of the current
-basis B, row i holds integers over its own scale[i], the value D had
-when a pivot last touched the row.  Its entries at D are
-row * D / scale[i], which are integers.  The reduced costs are always
-over D.  A pivot on element p in column q, with the pivot row brought to
-D first and negated when p < 0, maps a row whose column-q entry f is
-nonzero to
+Arithmetic is on Python integers only.  Each row is scaled by the lcm of
+its denominators and the costs by the lcm of theirs, which changes no
+ratio-test comparison and no reduced-cost sign.  Tableau entries are
+minors of the input, kept fraction-free in the Bareiss/Edmonds style
+(Applegate, Cook, Dash and Espinoza, *Exact solutions to LP problems*, ORL
+2007): with D = |det B| of the current basis, a row holds integers over
+its own scale, the D of the last pivot that touched it, and row * D /
+scale is integral.  The reduced costs are always over D.
 
-    T'[i][j] = (T[i][j] * p - f * T[p][j]) // scale[i],
+Only the basic structurals, at most m, keep a tableau row.  The basic
+surplus rows need none: as in the revised simplex (Bixby, *Solving
+real-world LPs*, OR 2002), what the ratio test needs of them comes from
+the original integer rows, with D.x_j read off the structurals (0 or D
+when nonbasic, a stored row's value at D when basic):
 
-which is exact by the Bareiss identity.  On the columns where the pivot
-row is 0 this is T[i][j] * p // scale[i].  Then scale[i] = p, which is
-also the next D.  A row with f = 0 is left alone: its values only
-change scale, which costs nothing until a pivot touches it.  The basic
-values are a last column of the tableau, scale[i] times each row's
-basic value: a pivot updates them with the same formula and a bound flip
-by one column, so no pivot re-derives them, and the ratio test compares
-integer cross products of one row's entries instead of Fractions.
+    value  D.s_i  = sum_j a_ij (D.x_j) - D.b_i,
+    rate   D.ds_i = sum_j a_ij mu_j,   mu_j = D.dx_j along the entering column.
+
+mu is nonzero only on the entering structural and on the basic
+structurals whose row is nonzero there, and a nonbasic surplus reads
+rate 0.  RowStore packs each column of A and of b into one integer with a
+biased w-bit field per row, so either sum, over all rows at once, is one
+sum of multiplier times packed column, read back with one to_bytes.  A
+field is exact while its sum stays below 2^(w-1) in absolute value:
+before each sum every field is bounded by (largest row sum |a| + |b|)
+times the largest |multiplier|, and a bound reaching 2^(w-2) repacks the
+columns wider.
+
+A pivot on element p in column q, with the pivot row P brought to D and
+negated when p < 0, maps each stored row T with f = T[q] nonzero to
+T'[j] = (T[j] * p - f * P[j]) // scale, exact by the Bareiss identity, at
+scale p, the next D; a row with f = 0 is left alone.  P comes from one of
+three cases:
+
+  * a leaving structural pivots on its stored row;
+  * a leaving surplus row i builds its row at D from a_i and the stored
+    rows: -a_iq D on each nonbasic structural column q, plus
+    sum_s a_is T_sq D / scale_s, and D.s_i as its value;
+  * an entering surplus is basic afterwards, so P is dropped, not stored.
+
+A stored row's last column is its scale times the basic value; a pivot
+updates it with the same formula and a bound flip by one column.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from itertools import compress
 
 from .util import over_common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HIGH_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _biased(values, width):
+    """sum_k (values[k] + 2^(width-1) - 1) << (width * k)."""
+    half, size = (1 << (width - 1)) - 1, width // 8
+    return int.from_bytes(b"".join([(v + half).to_bytes(size, "little") for v in values]), "little")
+
+
+class RowStore:
+    """Covering rows coeffs.x >= rhs over m variables, append-only.
+
+    A row is scaled to integers, checked at x = 1 and packed once, when
+    added; len() and iteration give the rows as added, as (coeffs, rhs).
+    A row of the wrong width, or one that x = 1 does not satisfy, raises
+    ValueError, and none of the rows given is added.  A row whose scaled
+    integers repeat an earlier row's is not packed again: its surplus ties
+    with the earlier copy's in every ratio test and loses on index, so it
+    never leaves the basis and the pivots are those of the full list.
+    """
+
+    def __init__(self, m, rows=()):
+        self.m = m
+        self.width = 64   # bits per packed field
+        self.extent = 0   # largest sum |a_ij| + |b_i| of a row
+        self._rows, self._ints, self._seen = [], [], set()
+        self._columns = [0] * (m + 1)  # column m packs the right-hand sides
+        self._bias = 0
+        self.extend(rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def extend(self, rows):
+        rows, new = list(rows), {}  # the new distinct rows, first copies first
+        for coeffs, rhs in rows:
+            if len(coeffs) != self.m:
+                raise ValueError("row width does not match variable count")
+            ints = tuple(over_common_denominator([*coeffs, rhs])[0])
+            if sum(ints) < 2 * ints[-1]:
+                raise ValueError("row not satisfied at x = 1; constraint pool is inconsistent")
+            if ints not in self._seen:
+                new[ints] = None
+        self._rows += rows
+        self._seen.update(new)
+        self._ints += new
+        self.extent = max([self.extent, *(sum(map(abs, v)) for v in new)])
+        if self.extent >= 1 << (self.width - 2):
+            self._repack(self.extent)
+        else:
+            shift, bias = self.width * (len(self._ints) - len(new)), _biased([0] * len(new), self.width)
+            for j, column in enumerate(zip(*new)):
+                self._columns[j] += (_biased(column, self.width) - bias) << shift
+            self._bias += bias << shift
+
+    def _repack(self, bound):
+        """Pack at least twice as wide, in whole 64-bit words, so that
+        `bound` stays below 2^(w-2)."""
+        self.width = max(2 * self.width, -(-(bound.bit_length() + 2) // 64) * 64)
+        self._bias = _biased([0] * len(self._ints), self.width)
+        self._columns = [_biased(column, self.width) - self._bias for column in zip(*self._ints)]
+
+    def sums(self, multipliers):
+        """(fields, bias, positive): for the i-th distinct row, fields[i] -
+        bias is the sum of multipliers[j] * a_ij over the columns j given
+        (column m is the rhs), and positive[i] is 1 if that is above 0."""
+        top = max(map(abs, multipliers.values()), default=0)
+        if self.extent * top >= 1 << (self.width - 2):
+            self._repack(self.extent * top)
+        size = self.width // 8
+        total = self._bias
+        for j, v in multipliers.items():
+            total += v * self._columns[j]
+        raw = total.to_bytes(size * len(self._ints), "little")
+        if size == 8 and sys.byteorder == "little":
+            fields = memoryview(raw).cast("Q")
+        else:
+            fields = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+        # With the bias 2^(w-1) - 1 a field's top bit is set iff its sum is >= 1.
+        return fields, (1 << (self.width - 1)) - 1, raw[size - 1::size].translate(_HIGH_BIT)
 
 
 def solve_box_covering_lp(costs, rows):
     """Minimize costs.x subject to the given rows and 0 <= x <= 1.
 
     costs: sequence of nonnegative rationals, one per structural variable.
-    rows: sequence of (coeffs, rhs); each row means coeffs.x >= rhs.
+    rows: a RowStore over len(costs) variables, or a sequence of
+    (coeffs, rhs) that is made one; each row means coeffs.x >= rhs.
     Returns (x, objective) with every entry a Fraction.
     Raises ValueError if some row is not satisfied by x = 1.
     """
     m = len(costs)
     costs = [Fraction(c) for c in costs]
+    if not isinstance(rows, RowStore):
+        rows = RowStore(m, rows)
+    elif rows.m != m:
+        raise ValueError("row width does not match variable count")
     if not rows:
-        return [Fraction(0)] * m, Fraction(0)
+        return [_ZERO] * m, _ZERO
 
-    # Row i, scaled to integers and stored as -coeffs.x + s = -rhs, keeps
-    # its m nonbasic entries and then scale[i] times its basic value, which
-    # at the start (every structural at 1, scale[i] = D = 1) is coeffs.1 - rhs.
-    tab = []
-    for coeffs, rhs in rows:
-        if len(coeffs) != m:
-            raise ValueError("row width does not match variable count")
-        *ints, scaled_rhs = over_common_denominator([*coeffs, rhs])[0]
-        slack = sum(ints) - scaled_rhs
-        if slack < 0:
-            raise ValueError("row not satisfied at x = 1; constraint pool is inconsistent")
-        tab.append([-v for v in ints] + [slack])
     zrow, _ = over_common_denominator(costs)  # scale * D * reduced costs
-
-    r = len(rows)
     den = 1
-    scale = [1] * r                 # D at the pivot that last touched each row
     var = list(range(m))            # variable of each nonbasic column
     at_upper = [True] * m           # bound of each nonbasic column's variable
-    basis = [m + i for i in range(r)]  # structurals are < m; surplus >= m is unbounded
+    basic = {}  # basic structural -> (row: m nonbasic entries, scale * value; scale)
 
     while True:
-        col, entering = -1, m + r
+        col, entering = -1, m + len(rows)
         for j in range(m):
             if var[j] < entering and (zrow[j] > 0 if at_upper[j] else zrow[j] < 0):
                 col, entering = j, var[j]
         if col < 0:
             x = [_ZERO] * m
-            for j in range(m):
-                if var[j] < m and at_upper[j]:
-                    x[var[j]] = _ONE
-            for i in range(r):
-                if basis[i] < m:
-                    x[basis[i]] = Fraction(tab[i][m], scale[i])
-            objective = sum((costs[j] * x[j] for j in range(m)), _ZERO)
-            return x, objective
+            for v, up in zip(var, at_upper):
+                if v < m and up:
+                    x[v] = _ONE
+            for s, (row, sc) in basic.items():
+                x[s] = Fraction(row[m], sc)
+            return x, sum((c * v for c, v in zip(costs, x)), _ZERO)
 
         # Ratio test: entering moves by t >= 0 away from its current bound;
-        # basic variable i changes at rate -direction * tab[i][col] / scale[i],
-        # so its step to a bound is num / rate with scale[i] cancelled.  Steps
-        # are compared as cross products of positive denominators.
+        # basic structural s changes at rate -direction * row[col] / scale,
+        # so its step to a bound is num / rate with the scale cancelled.
+        # Steps are compared as cross products of positive denominators, and
+        # the step (1, 0) stands for no limit.  Strict improvement keeps
+        # bound flips preferred on ties; among tying rows the smallest basic
+        # variable index leaves (Bland).
         direction = -1 if at_upper[col] else 1
-        limit = (1, 1) if entering < m else None  # own bound-to-bound distance
-        block_row = -1
-        block_to_upper = False
-        for i in range(r):
-            row = tab[i]
+        lnum, lrate = (1, 1) if entering < m else (1, 0)  # own bound-to-bound distance
+        block, block_to_upper = -1, False  # the leaving variable
+        fall = {entering: -direction * den} if entering < m else {}  # -mu
+        for s, (row, sc) in basic.items():
             rate = direction * row[col]
-            if rate > 0:
-                num = row[m]
-                to_upper = False
-            elif rate < 0:
-                if basis[i] >= m:
-                    continue
-                num = scale[i] - row[m]
-                rate = -rate
-                to_upper = True
-            else:
+            if not rate:
                 continue
-            # Strict improvement keeps bound flips preferred on ties; among
-            # tying rows the smallest basic variable index leaves (Bland).
-            if limit is None or num * limit[1] < limit[0] * rate:
-                limit = (num, rate)
-                block_row = i
-                block_to_upper = to_upper
-            elif (block_row >= 0 and num * limit[1] == limit[0] * rate
-                  and basis[i] < basis[block_row]):
-                block_row = i
-                block_to_upper = to_upper
-        if limit is None:
+            fall[s] = rate * den // sc
+            num, to_upper = (row[m], False) if rate > 0 else (sc - row[m], True)
+            rate = abs(rate)
+            if num * lrate < lnum * rate or (
+                    block >= 0 and num * lrate == lnum * rate and s < block):
+                lnum, lrate, block, block_to_upper = num, rate, s, to_upper
+        # A basic surplus falls, to 0 only, where its rate of decrease
+        # -D.ds_i is positive.  Its index m + i is above every structural
+        # and rises with i, so it leaves only on a strictly smaller step.
+        falls, fbias, falling = rows.sums(fall)
+        falling = list(compress(range(len(falling)), falling))
+        if falling and lnum:
+            dx = {v: den for v, up in zip(var, at_upper) if v < m and up}
+            dx.update((s, row[m] * den // sc) for s, (row, sc) in basic.items())
+            dx[m] = -den
+            values, vbias, _ = rows.sums(dx)
+            for i in falling:
+                num = values[i] - vbias
+                rate = falls[i] - fbias
+                if num * lrate < lnum * rate:
+                    lnum, lrate, block, block_to_upper = num, rate, m + i, False
+                    if not num:
+                        break
+        if not lrate:
             raise ArithmeticError("LP is unbounded; the feasible region should be a box")
 
-        if block_row < 0:
+        if block < 0:
             # Entering variable crosses to its other bound; basis unchanged.
             at_upper[col] = not at_upper[col]
-            for row in tab:
-                if row[col]:
-                    row[m] -= direction * row[col]
+            for row, _ in basic.values():
+                row[m] -= direction * row[col]
             continue
 
         # Pivot: the leaving variable takes over column col.  Its column is
         # the unit column D * e_p, which the same formula maps to
-        # -sign * f * D / scale[i] off the pivot row and sign * D on it.
+        # -sign * f * D / scale off the pivot row and sign * D on it.
         # The last column is mapped as if both variables sat at 0, then the
         # new basic value gains 1 if entering left its upper bound, and
         # every row loses the leaving column if leaving stops at 1.
-        prow = tab[block_row]
-        if scale[block_row] != den:
-            prow = [v * den // scale[block_row] for v in prow]
+        if block < m:
+            prow, sc = basic.pop(block)
+            if sc != den:
+                prow = [v * den // sc for v in prow]
+        else:
+            a = rows._ints[block - m]
+            prow = [-a[v] * den if v < m else 0 for v in var] + [values[block - m] - vbias]
+            for s, (row, sc) in basic.items():
+                if a[s]:
+                    for j in range(m):
+                        if row[j]:
+                            prow[j] += a[s] * row[j] * den // sc
         piv = prow[col]
         sign = 1 if piv > 0 else -1
         if sign < 0:
             prow = [-v for v in prow]
             piv = -piv
         support = [(j, w) for j, w in enumerate(prow) if w and j != col]
-        for i in range(r):
-            row = tab[i]
+        for s, (row, sc) in basic.items():
             f = row[col]
-            if not f or i == block_row:
+            if not f:
                 continue
-            # Off the pivot row's support the row only changes scale, s to
-            # piv: a product when s divides piv, nothing when they are equal.
-            s = scale[i]
-            q, rest = divmod(piv, s)
+            # Off the pivot row's support the row only changes scale, sc to
+            # piv: a product when sc divides piv, nothing when they are equal.
+            q, rest = divmod(piv, sc)
             if rest:
-                new = [v * piv // s for v in row]
+                new = [v * piv // sc for v in row]
             elif q > 1:
                 new = [v * q for v in row]
             else:
                 new = row
             for j, w in support:
-                new[j] = (row[j] * piv - f * w) // s
-            g = sign * f * den // s
+                new[j] = (row[j] * piv - f * w) // sc
+            g = sign * f * den // sc
             new[col] = -g
             if block_to_upper:
                 new[m] += g
-            tab[i] = new
-            scale[i] = piv
+            basic[s] = new, piv
         f = zrow[col]
         zrow = [(v * piv - f * w) // den for v, w in zip(zrow, prow)]
         zrow[col] = -sign * f
@@ -188,10 +288,7 @@ def solve_box_covering_lp(costs, rows):
             prow[m] += piv
         if block_to_upper:
             prow[m] -= sign * den
-        tab[block_row] = prow
-        scale[block_row] = piv
         den = piv
-
-        var[col] = basis[block_row]
-        at_upper[col] = block_to_upper
-        basis[block_row] = entering
+        var[col], at_upper[col] = block, block_to_upper
+        if entering < m:  # an entering surplus is basic and keeps no row
+            basic[entering] = prow, piv

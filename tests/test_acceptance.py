@@ -26,7 +26,7 @@ from capnet.oracle import (
     sample_yes_instances,
     verify_yes_certificate,
 )
-from capnet.rounding import expected_cost_bound, round_solution
+from capnet.rounding import expected_cost_bound, keep_probabilities, round_solution
 from capnet.util import derive_seed, iter_partitions
 
 from conftest import brute_cut_sides_within, brute_min_kway_cut, brute_min_st_cut
@@ -162,9 +162,12 @@ def test_criterion_4_good_solution_contract(uniform_suite):
 
 def test_criterion_5_rounding(uniform_suite):
     runs = first_failures = mean_violations = worst_attempts = 0
+    edges = fractional = 0  # edges, and those kept with probability strictly in (0, 1)
     for i, (inst, solution, _) in enumerate(uniform_suite):
         scale = variant_for(inst).scale
         bound = expected_cost_bound(solution, scale)
+        edges += inst.m
+        fractional += sum(0 < p < 1 for p in keep_probabilities(solution, scale))
         total = Fraction(0)
         for s in range(200):
             report = round_solution(solution, seed=derive_seed(9500, f"{i}/{s}"))
@@ -181,7 +184,8 @@ def test_criterion_5_rounding(uniform_suite):
     _report(5, ok,
             f"{runs} roundings feasible within {worst_attempts} attempts, "
             f"{mean_violations} mean-cost violations, first-attempt "
-            f"infeasibility {first_failures}/{runs}")
+            f"infeasibility {first_failures}/{runs}, {fractional} of {edges} edges "
+            f"with a keep probability strictly between 0 and 1")
 
 
 def test_criterion_6_multicopy_bounds():

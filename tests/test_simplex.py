@@ -10,6 +10,9 @@ The optimum value alone does not pin the vertex among ties, and the
 cutting-plane loop separates at the vertex.  _reference_solve is the
 dense Fraction tableau the integer solver replaced, with the same Bland
 rule, so the two must return the same vertex, not only the same value.
+The integer solver reads its surplus rows off packed columns, so it is
+also run on entries that need wider fields, on negative entries and on
+a row store extended between solves.
 """
 
 import itertools
@@ -20,7 +23,7 @@ import pytest
 
 from capnet.kclp import solve_good
 from capnet.oracle import gen_random
-from capnet.simplex import solve_box_covering_lp
+from capnet.simplex import RowStore, solve_box_covering_lp
 
 
 def _solve_square(eqs, m):
@@ -328,3 +331,76 @@ def test_mixed_denominators_match_reference_and_integer_scaling():
     x_int, obj_int = solve_box_covering_lp([4, 10, 21], scaled_rows)
     assert x_int == x and obj_int == 12 * obj
     assert obj == _brute_optimum(costs, rows, 3)
+
+
+def _big_lp(rng, size):
+    """Entries near `size` over denominators 1, 3 and 7, some zero."""
+    m = rng.randint(2, 4)
+    costs = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 5))) for _ in range(m)]
+    rows = []
+    for _ in range(rng.randint(2, 5)):
+        coeffs = [Fraction(size + rng.randint(-999, 999), rng.choice((1, 3, 7)))
+                  if rng.random() < 0.8 else Fraction(0) for _ in range(m)]
+        if not any(coeffs):
+            coeffs[0] = Fraction(size)
+        rows.append((coeffs, sum(coeffs) * Fraction(rng.randint(0, 60), 61)))
+    return costs, rows
+
+
+@pytest.mark.parametrize("size", [2 ** 40, 2 ** 70])
+def test_wide_fields_match_reference(size):
+    # Near 2^40 the first pivot's D already pushes a field bound past
+    # 2^62, so the store repacks before a sum; near 2^70 it does so as
+    # the rows are added.
+    rng = random.Random(size % 1009)
+    widths = []
+    for _ in range(25):
+        costs, rows = _big_lp(rng, size)
+        store = RowStore(len(costs), rows)
+        assert solve_box_covering_lp(costs, store) == _reference_solve(costs, rows)
+        widths.append(store.width)
+    # An LP that ends without a pivot keeps D = 1 and needs no repack.
+    assert sum(w > 64 for w in widths) >= (25 if size > 2 ** 62 else 12)
+    assert max(widths) >= 256
+
+
+def test_negative_and_zero_coefficients_match_reference():
+    rng = random.Random(17)
+    for _ in range(150):
+        m = rng.randint(1, 5)
+        costs = [Fraction(rng.randint(0, 6)) for _ in range(m)]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = [rng.choice((-4, -1, 0, 0, 1, 2, 5)) for _ in range(m)]
+            rows.append((coeffs, rng.randint(min(0, sum(coeffs)) - 3, sum(coeffs))))
+        x, obj = solve_box_covering_lp(costs, rows)
+        assert (x, obj) == _reference_solve(costs, rows)
+        if m <= 3:
+            assert obj == _brute_optimum(costs, rows, m)
+
+
+def _error(costs, rows):
+    with pytest.raises(ValueError) as caught:
+        solve_box_covering_lp(costs, rows)
+    return str(caught.value)
+
+
+def test_store_extended_across_calls_matches_a_fresh_list():
+    rng = random.Random(23)
+    costs, rows = _sparse_covering_lp(rng)
+    m = len(costs)
+    rows += [rows[3], rows[7], ([2 * v for v in rows[5][0]], 2 * rows[5][1])]
+    rng.shuffle(rows)
+    store, given = RowStore(m), []
+    for chunk in (rows[:1], rows[1:12], [], rows[12:30], rows[30:]):
+        store.extend(chunk)
+        given += chunk
+        assert list(store) == given and len(store) == len(given)
+        for bad in (([1] * (m + 1), 1), ([1] * m, m + 1)):
+            message = _error(costs, given + [bad])
+            with pytest.raises(ValueError, match=message):
+                store.extend([rows[0], bad])
+            assert len(store) == len(given)
+        assert solve_box_covering_lp(costs, store) == solve_box_covering_lp(costs, given)
+        assert solve_box_covering_lp(costs, given) == _reference_solve(costs, given)
+    assert len(store._ints) == len(rows) - 2  # the scaled copy is a row of its own
