@@ -176,27 +176,19 @@ class Cut:
         return (s in self.side) != (t in self.side)
 
 
-def crossing_edges(instance, side):
-    side = frozenset(side)
-    out = []
-    for i, e in enumerate(instance.edges):
-        if instance.directed:
-            if e.tail in side and e.head not in side:
-                out.append(i)
-        elif (e.tail in side) != (e.head in side):
-            out.append(i)
-    return tuple(out)
-
-
 def cut_from_side(instance, weighting, side):
     side = frozenset(side)
     if not 0 < len(side) < instance.n:
         raise ValueError("cut side must be a nonempty proper vertex subset")
-    if not instance.directed and 0 in side:
+    directed = instance.directed
+    if not directed and 0 in side:
         side = frozenset(range(instance.n)) - side
-    crossing = crossing_edges(instance, side)
+    crossing = tuple(
+        i for i, e in enumerate(instance.edges)
+        if (e.tail in side) != (e.head in side) and (not directed or e.tail in side)
+    )
     cap = sum(weighting[e] for e in crossing)
-    return Cut(side, crossing, cap, instance.directed)
+    return Cut(side, crossing, cap, directed)
 
 
 @dataclass(frozen=True)
@@ -214,19 +206,6 @@ class KWayCut:
     @property
     def way(self):
         return len(self.parts)
-
-
-def kway_cut_from_assignment(instance, weighting, assignment):
-    blocks = max(assignment) + 1
-    parts = [set() for _ in range(blocks)]
-    for v, b in enumerate(assignment):
-        parts[b].add(v)
-    parts = tuple(sorted((frozenset(p) for p in parts), key=min))
-    crossing = tuple(
-        i for i, e in enumerate(instance.edges) if assignment[e.tail] != assignment[e.head]
-    )
-    cap = sum(weighting[e] for e in crossing)
-    return KWayCut(parts, crossing, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +484,7 @@ def check_feasible(instance, edge_subset):
         for v in range(1, instance.n):
             res = max_flow(instance, w, 0, v, cutoff=req.R)
             if res.value < req.R:
-                side = frozenset(range(instance.n)) - res.source_side
-                return FeasibilityResult(False, cut_from_side(instance, w, side))
+                return FeasibilityResult(False, cut_from_side(instance, w, res.source_side))
         return FeasibilityResult(True)
 
     if isinstance(req, Pairs):
@@ -515,11 +493,7 @@ def check_feasible(instance, edge_subset):
                 continue
             res = max_flow(instance, w, s, t, cutoff=r)
             if res.value < r:
-                if instance.directed:
-                    witness = cut_from_side(instance, w, res.source_side)
-                else:
-                    side = frozenset(range(instance.n)) - res.source_side
-                    witness = cut_from_side(instance, w, side)
+                witness = cut_from_side(instance, w, res.source_side)
                 return FeasibilityResult(False, witness, pair_index=idx)
         return FeasibilityResult(True)
 

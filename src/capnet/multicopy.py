@@ -58,7 +58,6 @@ _INF = float("inf")
 @dataclass
 class ComponentInfo:
     members: set
-    pairs: list = field(default_factory=list)
     cls: object = None  # int once a classed pair registers
     leader: object = None  # pair position holding the maximal class
     h_leaders: dict = field(default_factory=dict)
@@ -92,7 +91,7 @@ class ForestState:
         # ia now belongs to the component with the smallest vertex; its
         # choices win ties below.
         self.parent[rb] = ra
-        merged = ComponentInfo(ia.members | ib.members, ia.pairs + ib.pairs)
+        merged = ComponentInfo(ia.members | ib.members)
         if ib.cls is not None and (ia.cls is None or ib.cls > ia.cls):
             merged.cls, merged.leader = ib.cls, ib.leader
         else:
@@ -113,7 +112,6 @@ class ForestState:
 
     def register_pair(self, position, endpoint, cls):
         info = self.component(endpoint)
-        info.pairs.append(position)
         if cls is not None and (info.cls is None or cls > info.cls):
             info.cls = cls
             info.leader = position

@@ -68,17 +68,19 @@ def constraint_rows(instance):
     n <= 16 (10 for k-way).
     """
     family = cut_family(instance)
-    rows = {}
-    for key, need in zip(family.crossing, family.requirement):
-        if need > rows.get(key, 0):
-            rows[key] = need
+    crossings, slot = family.distinct
+    largest = [0] * len(crossings)
+    for s, need in zip(slot, family.requirement):
+        if need > largest[s]:
+            largest[s] = need
+    rows = [(key, need) for key, need in zip(crossings, largest) if need]
     # Two distinct keys of one size never contain each other, so a row
     # can only be implied by a smaller one, kept or implied in turn.  Bit k
     # of crosses[e] is set when the k-th kept row crosses edge e, so the
     # kept rows inside a key are those crossing no edge outside it.
     kept = []
     crosses = [0] * instance.m
-    for key, need in sorted(rows.items(), key=lambda row: len(row[0])):
+    for key, need in sorted(rows, key=lambda row: len(row[0])):
         outside = 0
         inside = set(key)
         for e, bits in enumerate(crosses):
@@ -295,9 +297,12 @@ def exact_optimum_multicopy(instance, force=False):
     limit = [ceil_div(max_need, caps[e]) for e in range(m)]
 
     # Warm start from per-pair shortest paths, capped at the copy bound
-    # (a capped edge covers every cut through it on its own).
-    base = baseline_independent_pairs(instance)
-    warm = [min(base.copies[e], limit[e]) for e in range(m)]
+    # (a capped edge covers every cut through it on its own).  The paths
+    # are undirected; on arcs, start from the bound, as every row has an edge.
+    warm = limit
+    if not instance.directed:
+        base = baseline_independent_pairs(instance)
+        warm = [min(base.copies[e], limit[e]) for e in range(m)]
 
     cost, copies, explored = _search(
         rows, costs, caps, limit, range(m), warm, lambda current, pos: tuple(current)
@@ -647,6 +652,8 @@ def gen_random(
         raise ValueError("m is too small for a connected graph")
     if demand_cap is not None and demand_cap < 1:
         raise ValueError("demand_cap must be at least 1")
+    if kind == "pairs" and pairs > n * (n - 1) // 2:
+        raise ValueError(f"{n} vertices have only {n * (n - 1) // 2} distinct pairs, not {pairs}")
     rng = random.Random(seed)
     lo_u, hi_u = cap_range
     lo_c, hi_c = cost_range

@@ -75,6 +75,13 @@ def test_gen_requires_a_seed(capsys):
     assert _stderr_error(capsys)["error"] == "UsageError"
 
 
+def test_gen_refuses_more_pairs_than_vertex_pairs(capsys):
+    argv = ["gen", "--kind", "pairs", "--n", "2", "--m", "1", "--pairs", "2", "--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(l)["error"] for l in err if l.startswith("{")] == ["ValueError"]
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from capnet import cutenum
 from capnet.cutenum import (
     EXHAUSTIVE_LIMIT,
     KWAY_LIMIT,
-    enumerate_cuts_within,
     enumerate_near_min_cuts,
     enumerate_near_min_kway_cuts,
 )
-from capnet.errors import CapabilityError, DisconnectedError
-from capnet.graphs import Edge, Instance, Uniform, capacity_weighting
+from capnet.errors import CapabilityError, DisconnectedError, InvariantError
+from capnet.graphs import CutFamily, Edge, Instance, Uniform, capacity_weighting
 from capnet.oracle import gen_random
 from capnet.util import iter_partitions
 
@@ -30,11 +30,12 @@ def test_cuts_within_match_brute_scan(seed):
     inst = gen_random("uniform", n=n, m=n + 2 + seed % 4, seed=seed)
     w = capacity_weighting(inst)
     weights = [w[i] for i in range(inst.m)]
+    family = CutFamily(inst)
+    sums, den = family.capacities(w)
     for bound in (0, 3, 7, 100):
-        pool = enumerate_cuts_within(inst, w, bound)
+        pool = [family.cut(i, Fraction(cap, den)) for i, cap in enumerate(sums)
+                if cap <= bound * den]
         assert {c.side for c in pool} == brute_cut_sides_within(inst, weights, bound)
-        caps = [c.capacity for c in pool]
-        assert caps == sorted(caps)
         assert all(0 not in c.side for c in pool)
         assert all(c.capacity <= bound for c in pool)
 
@@ -54,6 +55,8 @@ def test_pool_size_respects_counting_bound(alpha):
     for seed in range(8):
         inst = gen_random("uniform", n=7, m=11, seed=40 + seed)
         pool = enumerate_near_min_cuts(inst, capacity_weighting(inst), alpha)
+        # Ordered by capacity, then by side as an ascending vertex tuple.
+        assert list(pool) == sorted(pool, key=lambda c: (c.capacity, sorted(c.side)))
         exponent = Fraction(2) * alpha
         assert len(pool) ** exponent.denominator <= inst.n ** exponent.numerator
 
@@ -85,7 +88,7 @@ def test_size_caps_raise_capability_errors():
     edges = tuple((i, i + 1, 1, 0) for i in range(n - 1))
     inst = Instance(n, edges, Uniform(1))
     with pytest.raises(CapabilityError):
-        enumerate_cuts_within(inst, capacity_weighting(inst), 10)
+        CutFamily(inst)
     with pytest.raises(CapabilityError):
         enumerate_near_min_cuts(inst, capacity_weighting(inst), 1)
     nk = KWAY_LIMIT + 1
@@ -117,5 +120,18 @@ def test_kway_pool_matches_partition_scan(parts):
                    if a[e.tail] != a[e.head]) <= Fraction(3, 2) * best
         )
         assert len(pool) == expected
+        assert list(pool) == sorted(
+            pool, key=lambda c: (c.capacity, [sorted(p) for p in c.parts]))
         assert all(c.way == parts for c in pool)
         assert min(c.capacity for c in pool) == best
+
+
+def test_count_tripwire_fires_for_both_pools(monkeypatch):
+    # The counting bound is an explicit check, so it also holds under -O.
+    monkeypatch.setattr(cutenum, "_count_within_bound", lambda count, n, exponent: False)
+    inst = _cycle(5)
+    w = capacity_weighting(inst)
+    with pytest.raises(InvariantError, match="cut-count bound"):
+        enumerate_near_min_cuts(inst, w, 1)
+    with pytest.raises(InvariantError, match="cut-count bound"):
+        enumerate_near_min_kway_cuts(inst, w, 3, 1)

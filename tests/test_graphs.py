@@ -14,16 +14,15 @@ from capnet.graphs import (
     Edge,
     Instance,
     KWay,
+    KWayCut,
     Pairs,
     Uniform,
     capacity_weighting,
     check_feasible,
-    crossing_edges,
     cut_from_side,
     cut_family,
     instance_from_dict,
     instance_to_dict,
-    kway_cut_from_assignment,
     max_flow,
     parse_instance,
     serialize_instance,
@@ -116,10 +115,26 @@ def test_directed_cut_keeps_its_side():
     assert cut.capacity == 3
 
 
+def _brute_kway_cut(instance, weighting, assignment):
+    """The partition `assignment` as a KWayCut, built vertex by vertex and
+    edge by edge: parts by smallest member, crossing edges ascending."""
+    parts = {}
+    for v, b in enumerate(assignment):
+        parts.setdefault(b, set()).add(v)
+    crossing = tuple(
+        i for i, e in enumerate(instance.edges) if assignment[e.tail] != assignment[e.head]
+    )
+    return KWayCut(tuple(sorted(map(frozenset, parts.values()), key=min)), crossing,
+                   sum(weighting[e] for e in crossing))
+
+
 def test_kway_cut_parts_are_canonical():
     inst = Instance(4, ((0, 1, 1, 0), (1, 2, 2, 0), (2, 3, 4, 0)), Uniform(1))
     w = capacity_weighting(inst)
-    cut = kway_cut_from_assignment(inst, w, (0, 1, 1, 2))
+    family = CutFamily(inst, (3,))
+    i = family.shapes.index(bytes((0, 1, 1, 2)))
+    cut = family.cut(i, family.capacities(w)[0][i])
+    assert cut == _brute_kway_cut(inst, w, (0, 1, 1, 2))
     assert cut.way == 3
     assert cut.parts == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
     assert cut.capacity == 1 + 4
@@ -128,7 +143,7 @@ def test_kway_cut_parts_are_canonical():
 
 def test_crossing_edges_multigraph():
     inst = Instance(2, ((0, 1, 1, 0), (0, 1, 2, 0), (1, 0, 3, 0)), Uniform(1))
-    assert crossing_edges(inst, {1}) == (0, 1, 2)
+    assert cut_from_side(inst, capacity_weighting(inst), {1}).crossing == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +201,7 @@ def test_cut_family_sort_key_lists_the_cut(sizes, directed):
     for i, shape in enumerate(family.shapes):
         cut = family.cut(i, sums[i])
         if sizes:
-            assert cut == kway_cut_from_assignment(inst, w, shape)
+            assert cut == _brute_kway_cut(inst, w, shape)
         else:
             assert cut == cut_from_side(inst, w, {v for v, b in enumerate(shape) if b})
         keys.append(tuple(tuple(sorted(b)) for b in (cut.parts if sizes else (cut.side,))))

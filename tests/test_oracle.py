@@ -200,6 +200,34 @@ def test_copy_oracle_matches_brute_force(seed):
     assert opt.copies == copies
 
 
+def _directed_pairs(seed):
+    """A seeded pair instance on n <= 6 with each edge made an arc of a
+    seeded orientation."""
+    inst = gen_random("pairs", 4 + seed % 3, 7 + seed % 2, seed, pairs=2, demand_cap=2)
+    flip = random.Random(seed)
+    edges = tuple(Edge(e.head, e.tail, e.capacity, e.cost) if flip.random() < 0.5 else e
+                  for e in inst.edges)
+    return replace(inst, edges=edges, directed=True)
+
+
+def test_copy_oracle_matches_brute_force_on_arcs():
+    infeasible = 0
+    for seed in range(30):
+        inst = _directed_pairs(seed)
+        cost, copies = brute_copy_optimum(inst)
+        if cost is None:
+            with pytest.raises(InfeasibleError):
+                exact_optimum_multicopy(inst)
+            infeasible += 1
+        else:
+            opt = exact_optimum_multicopy(inst)
+            assert (opt.cost, opt.copies) == (cost, copies), seed
+    assert infeasible == 15
+    toy = gen_label_cover_reduction(sample_yes_instances()[0])
+    opt = exact_optimum_multicopy(toy)
+    assert (opt.cost, opt.copies) == brute_copy_optimum(toy) == (2, (1,) * toy.m)
+
+
 def test_copy_oracle_edge_cap():
     edges = tuple((0, 1, 1, 1) for _ in range(MULTICOPY_EDGE_LIMIT + 1))
     inst = Instance(2, edges, Pairs(((0, 1, 2),)))
@@ -639,6 +667,9 @@ def test_gen_random_guards():
         gen_random("kway", n=3, m=4, seed=0, levels=3)
     with pytest.raises(CapabilityError):
         gen_random("kway", n=11, m=14, seed=0)
+    with pytest.raises(ValueError, match="distinct pairs"):
+        gen_random("pairs", n=4, m=5, seed=0, pairs=7)
+    assert len(gen_random("pairs", n=4, m=5, seed=0, pairs=6).requirements.pairs) == 6
 
 
 def test_gap_generator_guards():
