@@ -90,13 +90,17 @@ class Instance:
         return sum((self.edges[e].cost for e in edge_subset), Fraction(0))
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is not 1
+
+
 def _validate_edge(i, e, n):
     for fld, v in (("tail", e.tail), ("head", e.head)):
-        if not isinstance(v, int) or not 0 <= v < n:
+        if not _is_int(v) or not 0 <= v < n:
             raise InstanceFormatError(f"edges[{i}].{fld}", f"vertex {v!r} out of range")
     if e.tail == e.head:
         raise InstanceFormatError(f"edges[{i}]", "self-loops are not allowed")
-    if not isinstance(e.capacity, int) or e.capacity < 1:
+    if not _is_int(e.capacity) or e.capacity < 1:
         raise InstanceFormatError(f"edges[{i}].capacity", "capacity must be a positive integer")
     if e.cost < 0:
         raise InstanceFormatError(f"edges[{i}].cost", "cost must be nonnegative")
@@ -104,7 +108,7 @@ def _validate_edge(i, e, n):
 
 def _validate_requirements(req, n, directed):
     if isinstance(req, Uniform):
-        if not isinstance(req.R, int) or req.R < 0:
+        if not _is_int(req.R) or req.R < 0:
             raise InstanceFormatError("requirements.R", "R must be a nonnegative integer")
         if directed:
             raise InstanceFormatError("directed", "uniform requirements need an undirected graph")
@@ -116,7 +120,7 @@ def _validate_requirements(req, n, directed):
         if len(rs) + 1 > n:
             raise InstanceFormatError("requirements.Rs", "more cut levels than vertices")
         for i, r in enumerate(rs):
-            if not isinstance(r, int) or r < 1:
+            if not _is_int(r) or r < 1:
                 raise InstanceFormatError(f"requirements.Rs[{i}]", "bounds must be positive integers")
             if i and r < rs[i - 1]:
                 raise InstanceFormatError(f"requirements.Rs[{i}]", "bounds must be nondecreasing")
@@ -126,13 +130,13 @@ def _validate_requirements(req, n, directed):
         pairs = tuple(tuple(p) for p in req.pairs)
         object.__setattr__(req, "pairs", pairs)
         for i, (s, t, r) in enumerate(pairs):
-            if not (isinstance(s, int) and 0 <= s < n):
+            if not (_is_int(s) and 0 <= s < n):
                 raise InstanceFormatError(f"requirements.pairs[{i}][0]", f"vertex {s!r} out of range")
-            if not (isinstance(t, int) and 0 <= t < n):
+            if not (_is_int(t) and 0 <= t < n):
                 raise InstanceFormatError(f"requirements.pairs[{i}][1]", f"vertex {t!r} out of range")
             if s == t:
                 raise InstanceFormatError(f"requirements.pairs[{i}]", "source and sink must differ")
-            if not isinstance(r, int) or r < 0:
+            if not _is_int(r) or r < 0:
                 raise InstanceFormatError(f"requirements.pairs[{i}][2]", "demand must be a nonnegative integer")
     else:
         raise InstanceFormatError("requirements", f"unknown requirement type {type(req).__name__}")
@@ -559,7 +563,7 @@ def instance_from_dict(data):
         if not isinstance(row, list) or len(row) != 5:
             raise InstanceFormatError(f"edges[{i}]", "expected [tail, head, capacity, cost_num, cost_den]")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise InstanceFormatError(f"edges[{i}][{j}]", "expected an integer")
         tail, head, cap, num, den = row
         if den <= 0:

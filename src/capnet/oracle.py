@@ -12,17 +12,21 @@ demand, is covered whenever that row is, so it gets no row.
 Both oracles run one branch and bound over bounded copy vectors
 (`_search`): an edge subset is a copy vector bounded by 1, deciding edges
 in cost-descending order, while the copy oracle bounds edge e by
-ceil(max need / u(e)) and decides edges in index order.  Counts branch
-ascending, so a subset tries excluding an edge first.  Costs are scaled
-once to integers by the lcm of their denominators.  Each row keeps its
-gap (need - chosen), updated only on the rows of the edge being decided,
-and its slack (chosen + open - need), one fixed-width field of a single
-integer that deciding an edge updates in one addition.  Pruning uses a
-fractional covering lower bound: the cheapest fill of the first most
-deficient row from its undecided lots, each lot being an edge at its
-full bound, taken in order of cost per capacity, then cost, then index.
-The bound never overestimates, so only strictly-worse branches die and
-the lexicographically least optimum survives ties.
+ceil(max need / u(e)) and decides edges in index order.  The search
+does the set-up of both: a row its edges at their bounds cannot cover
+raises InfeasibleError, and the incumbent lowers each edge from its
+bound, cost descending, to the fewest copies that keep its rows
+covered.  Counts branch ascending, so a subset tries excluding an edge first.  Costs are
+scaled once to integers by the lcm of their denominators.  Each row
+keeps its gap (need - chosen), updated only on the rows of the edge
+being decided, and its slack (chosen + open - need), one fixed-width
+field of a single integer that deciding an edge updates in one
+addition.  Pruning uses a fractional covering lower bound: the
+cheapest fill of the first most deficient row from its undecided lots,
+each lot being an edge at its full bound, taken in order of cost per
+capacity, then cost, then index.  The bound never overestimates, so
+only strictly-worse branches die and the lexicographically least
+optimum survives ties, whatever the incumbent.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .graphs import (
     subset_weighting,
 )
 from .kclp import FractionalSolution, variant_for
-from .multicopy import baseline_independent_pairs
 from .util import ceil_div, over_common_denominator
 
 SUBSET_EDGE_LIMIT = 24
@@ -103,32 +106,31 @@ def constraint_rows(instance):
 # ---------------------------------------------------------------------------
 # branch and bound over bounded copy vectors
 
-def _rows_of(rows, m):
-    """For each edge, the indices of the rows it crosses."""
-    rows_of = [[] for _ in range(m)]
-    for r, (key, _) in enumerate(rows):
-        for e in key:
-            rows_of[e].append(r)
-    return rows_of
-
-
-def _search(rows, costs, caps, bound, order, warm, leaf_key):
+def _search(rows, costs, caps, bound, order, leaf_key):
     """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
     covers every row: a row (edge tuple, need) is covered when the
     copies of its edges carry at least `need` capacity.
 
-    Edges are decided in `order`, counts ascending.  `warm` is a feasible
-    copy vector to start from, and `leaf_key(copies, pos)` gives the key
-    that breaks cost ties at a covered node where order[pos:] is still
-    undecided (at zero copies).  Returns (cost, key, nodes explored).
+    Raises InfeasibleError with the first row its edges at their bounds
+    cannot cover.  Edges are decided in `order`, counts ascending, and
+    `leaf_key(copies, pos)` gives the key that breaks cost ties at a
+    covered node where order[pos:] is still undecided (at zero copies).
+    Returns (cost, key, nodes explored).
     """
     m = len(costs)
     price, scale = over_common_denominator(costs)
     rank = [0] * m
     for i, e in enumerate(order):
         rank[e] = i
-    rows_of = _rows_of(rows, m)
+    rows_of = [[] for _ in range(m)]
+    for r, (key, _) in enumerate(rows):
+        for e in key:
+            rows_of[e].append(r)
     span = [bound[e] * caps[e] for e in range(m)]
+    slack = [sum(span[e] for e in key) - need for key, need in rows]
+    for row, room in zip(rows, slack):
+        if room < 0:
+            raise InfeasibleError("requirements exceed the edges at their copy bounds", row)
     gap = [need for _, need in rows]
     # Each row's slack lies in [-need, sum of spans].  Offset by `bias`,
     # every slack is one `width`-bit field of the integer `packed`, so
@@ -137,12 +139,18 @@ def _search(rows, costs, caps, bound, order, warm, leaf_key):
     # when its field lacks the bias bit.
     bias = 1 << max(max(need for _, need in rows), sum(span)).bit_length()
     width = bias.bit_length() + 1
-    packed = sum(
-        (sum(span[e] for e in key) - need + bias) << (width * r)
-        for r, (key, need) in enumerate(rows)
-    )
+    packed = sum((room + bias) << (width * r) for r, room in enumerate(slack))
     high = sum(bias << (width * r) for r in range(len(rows)))
     step = [sum(caps[e] << (width * r) for r in rs) for e, rs in enumerate(rows_of)]
+    # The incumbent: every edge at its bound, then each edge, by cost
+    # descending then index, lowered to the fewest copies that keep its
+    # rows covered.
+    warm = list(bound)
+    for e in sorted(range(m), key=lambda e: (-price[e], e)):
+        drop = min([bound[e]] + [slack[r] // caps[e] for r in rows_of[e]])
+        warm[e] -= drop
+        for r in rows_of[e]:
+            slack[r] -= drop * caps[e]
     # One lot per edge, its full bound: (rank, cost, capacity).  Each row
     # lists its lots in fill order, sharing the tuples.
     lot = [(rank[e], price[e] * bound[e], span[e]) for e in range(m)]
@@ -227,20 +235,7 @@ def exact_optimum(instance, force=False):
     m = instance.m
     caps = [e.capacity for e in instance.edges]
     costs = [e.cost for e in instance.edges]
-    for key, nd in rows:
-        if sum(caps[e] for e in key) < nd:
-            raise InfeasibleError("requirements exceed the full edge set", (key, nd))
     order = sorted(range(m), key=lambda e: (-costs[e], e))
-
-    # Warm start: keep everything, then drop expensive edges greedily.
-    kept_cap = [sum(caps[e] for e in key) for key, _ in rows]
-    rows_of = _rows_of(rows, m)
-    warm = [1] * m
-    for e in order:
-        if all(kept_cap[r] - caps[e] >= rows[r][1] for r in rows_of[e]):
-            warm[e] = 0
-            for r in rows_of[e]:
-                kept_cap[r] -= caps[e]
 
     def padded(chosen, pos):
         # Costlier supersets lose outright, but padding with an undecided
@@ -255,7 +250,7 @@ def exact_optimum(instance, force=False):
             cand.sort()
         return tuple(cand)
 
-    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, warm, padded)
+    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, padded)
     return SubsetOptimum(cost, edges, explored)
 
 
@@ -274,7 +269,8 @@ def exact_optimum_multicopy(instance, force=False):
 
     Copy counts per edge are bounded by ceil(max demand / u(e)): more
     copies than that already cover the largest demand single-handedly on
-    every cut through the edge, so exceeding the bound never helps.
+    every cut through the edge, so exceeding the bound never helps; at
+    these bounds, InfeasibleError means some pair is cut off from its sink.
     Capped at m <= 12 unless force=True.  Among optima, returns the
     lexicographically least copy vector.
     """
@@ -287,25 +283,12 @@ def exact_optimum_multicopy(instance, force=False):
     rows = constraint_rows(instance)
     if not rows:
         return CopyOptimum(Fraction(0), (0,) * instance.m, 0)
-    m = instance.m
     caps = [e.capacity for e in instance.edges]
-    costs = [e.cost for e in instance.edges]
-    for key, nd in rows:
-        if not key:
-            raise InfeasibleError("some pair is disconnected", (key, nd))
     max_need = max(nd for _, nd in rows)
-    limit = [ceil_div(max_need, caps[e]) for e in range(m)]
-
-    # Warm start from per-pair shortest paths, capped at the copy bound
-    # (a capped edge covers every cut through it on its own).  The paths
-    # are undirected; on arcs, start from the bound, as every row has an edge.
-    warm = limit
-    if not instance.directed:
-        base = baseline_independent_pairs(instance)
-        warm = [min(base.copies[e], limit[e]) for e in range(m)]
-
+    limit = [ceil_div(max_need, u) for u in caps]
     cost, copies, explored = _search(
-        rows, costs, caps, limit, range(m), warm, lambda current, pos: tuple(current)
+        rows, [e.cost for e in instance.edges], caps, limit, range(instance.m),
+        lambda current, pos: tuple(current),
     )
     return CopyOptimum(cost, copies, explored)
 
@@ -693,11 +676,7 @@ def gen_random(
 
     chosen_pairs = []
     seen = set()
-    tries = 0
     while len(chosen_pairs) < pairs:
-        tries += 1
-        if tries > 1000:
-            raise RuntimeError("rejection sampling failed to find enough distinct pairs")
         s, t = rng.randrange(n), rng.randrange(n)
         if s == t or (min(s, t), max(s, t)) in seen:
             continue

@@ -2,9 +2,9 @@
 
 Edges at or above the nearly-integral threshold are always bought; each
 remaining edge e is bought independently with probability
-min(1, scale * x_e), where scale = 1 / threshold is read off the
-solution itself (40 lg n, 40 k lg n, or 40 gamma lg n by variant, as
-solve_good certified it).  A draw either meets every requirement or is
+min(1, x_e / threshold), with the threshold read off the solution (its
+inverse, the scale, is 40 lg n, 40 k lg n, or 40 gamma lg n by variant,
+as solve_good certified it).  A draw either meets every requirement or is
 retried with a fresh derived seed, up to MAX_ATTEMPTS draws.
 
 Draws compare an exact 53-bit dyadic rational against the (rational)
@@ -46,23 +46,17 @@ class RoundingReport:
         return len(self.attempts)
 
 
-def keep_probabilities(solution, scale):
-    """Per-edge purchase probability: 1 when frozen, else scale * x."""
-    probs = []
+def keep_probabilities(solution):
+    """Per-edge purchase probability min(1, x / threshold): 1 when frozen."""
     threshold = solution.threshold
-    for v in solution.x:
-        if v >= threshold:
-            probs.append(Fraction(1))
-        else:
-            probs.append(min(Fraction(1), scale * v))
-    return probs
+    return [min(Fraction(1), v / threshold) for v in solution.x]
 
 
-def expected_cost_bound(solution, scale):
-    """Expected rounded cost is at most scale times the fractional cost."""
+def expected_cost_bound(solution):
+    """Expected rounded cost: at most the fractional cost / threshold."""
     instance = solution.instance
     return sum(
-        (e.cost * p for e, p in zip(instance.edges, keep_probabilities(solution, scale))),
+        (e.cost * p for e, p in zip(instance.edges, keep_probabilities(solution))),
         Fraction(0),
     )
 
@@ -71,16 +65,12 @@ def _draw(rng):
     return Fraction(rng.getrandbits(_DYADIC_BITS), 1 << _DYADIC_BITS)
 
 
-def sample_edges(solution, scale, seed):
-    """One independent draw.  Frozen edges always included."""
+def sample_edges(solution, seed):
+    """One independent draw.  Frozen edges are always included and take
+    no draw."""
     rng = random.Random(seed)
-    chosen = []
-    for i, p in enumerate(keep_probabilities(solution, scale)):
-        if p >= 1:
-            chosen.append(i)
-        elif _draw(rng) < p:
-            chosen.append(i)
-    return tuple(chosen)
+    probs = keep_probabilities(solution)
+    return tuple(i for i, p in enumerate(probs) if p >= 1 or _draw(rng) < p)
 
 
 def round_solution(solution, seed=0):
@@ -99,7 +89,7 @@ def round_solution(solution, seed=0):
     attempts = []
     for t in range(MAX_ATTEMPTS):
         attempt_seed = derive_seed(seed, t)
-        edges = sample_edges(solution, scale, attempt_seed)
+        edges = sample_edges(solution, attempt_seed)
         result = check_feasible(instance, edges)
         cost = instance.total_cost(edges)
         attempts.append(

@@ -14,7 +14,7 @@ import pytest
 from capnet.cli import main
 from capnet.cutenum import enumerate_near_min_cuts, enumerate_near_min_kway_cuts
 from capnet.graphs import capacity_weighting
-from capnet.kclp import solve_good, variant_for, verify_good
+from capnet.kclp import solve_good, verify_good
 from capnet.multicopy import run as run_multicopy
 from capnet.oracle import (
     exact_optimum,
@@ -164,10 +164,9 @@ def test_criterion_5_rounding(uniform_suite):
     runs = first_failures = mean_violations = worst_attempts = 0
     edges = fractional = 0  # edges, and those kept with probability strictly in (0, 1)
     for i, (inst, solution, _) in enumerate(uniform_suite):
-        scale = variant_for(inst).scale
-        bound = expected_cost_bound(solution, scale)
+        bound = expected_cost_bound(solution)
         edges += inst.m
-        fractional += sum(0 < p < 1 for p in keep_probabilities(solution, scale))
+        fractional += sum(0 < p < 1 for p in keep_probabilities(solution))
         total = Fraction(0)
         for s in range(200):
             report = round_solution(solution, seed=derive_seed(9500, f"{i}/{s}"))

@@ -82,6 +82,12 @@ def test_gen_refuses_more_pairs_than_vertex_pairs(capsys):
     assert [json.loads(l)["error"] for l in err if l.startswith("{")] == ["ValueError"]
 
 
+def test_gen_draws_every_vertex_pair(capsys):
+    argv = ["gen", "--kind", "pairs", "--n", "20", "--m", "19", "--pairs", "190", "--seed", "1"]
+    assert main(argv) == 0
+    assert len(parse_instance(capsys.readouterr().out).requirements.pairs) == 190
+
+
 # ---------------------------------------------------------------------------
 # solve
 

@@ -422,11 +422,21 @@ def test_parse_instance_rejects_malformed_documents():
         lambda d: d["edges"][0].__setitem__(2, True),
         lambda d: d["requirements"].__setitem__("kind", "mystery"),
         lambda d: d["requirements"].pop("R"),
+        # JSON booleans are not integers, wherever an integer is asked for.
+        lambda d: d["requirements"].__setitem__("R", True),
+        lambda d: d.__setitem__("requirements", {"kind": "kway", "Rs": [True]}),
+        lambda d: d.__setitem__("requirements", {"kind": "pairs", "pairs": [[False, True, True]]}),
+        lambda d: d.__setitem__("requirements", {"kind": "pairs", "pairs": [[0, 1, True]]}),
+        lambda d: d["edges"][0].__setitem__(0, False),
     ):
         data = json.loads(json.dumps(good))
         mangle(data)
         with pytest.raises(InstanceFormatError):
             instance_from_dict(data)
+    with pytest.raises(InstanceFormatError, match="requirements.R"):
+        Instance(2, ((0, 1, 1, 0),), Uniform(True))
+    with pytest.raises(InstanceFormatError, match="capacity"):
+        Instance(2, ((0, 1, True, 0),), Uniform(1))
     with pytest.raises(InstanceFormatError):
         parse_instance("{not json")
     with pytest.raises(InstanceFormatError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from capnet import oracle
+from capnet import multicopy, oracle
 from capnet.errors import CapabilityError, InfeasibleError, InstanceFormatError
 from capnet.graphs import (
     EXHAUSTIVE_LIMIT,
@@ -38,7 +38,6 @@ from capnet.oracle import (
     verify_yes_certificate,
 )
 from capnet.kclp import solve_good, verify_good
-from capnet.multicopy import baseline_independent_pairs
 from capnet.rounding import round_solution
 from capnet.util import ceil_div
 
@@ -236,11 +235,40 @@ def test_copy_oracle_edge_cap():
     assert exact_optimum_multicopy(inst, force=True).cost == 2
 
 
+def test_both_oracles_share_one_infeasibility_rule_and_incumbent(monkeypatch):
+    # The witness is a (key, need) row that its edges at their copy
+    # bounds cannot cover: the empty cut around a pair cut off from its
+    # sink, or a cut below a uniform R.
+    cut_off = Instance(4, ((0, 1, 2, 1), (2, 3, 2, 1)), Pairs(((0, 2, 1), (0, 1, 1))))
+    for search in (exact_optimum, exact_optimum_multicopy):
+        with pytest.raises(InfeasibleError) as exc:
+            search(cut_off)
+        assert exc.value.witness == ((), 1)
+        assert exc.value.witness in constraint_rows(cut_off)
+    path = Instance(3, ((0, 1, 3, 1), (1, 2, 2, 1)), Uniform(3))
+    with pytest.raises(InfeasibleError) as exc:
+        exact_optimum(path)
+    key, need = exc.value.witness
+    assert (key, need) in constraint_rows(path)
+    assert sum(path.edges[e].capacity for e in key) < need == 3
+    # The copy oracle starts from its own greedy incumbent, not from the
+    # forest baseline.  Refusing `_dijkstra` too catches a caller that
+    # imported the baseline by name.
+    def refuse(*args):
+        raise AssertionError("the copy oracle called the forest baseline")
+    for name in ("baseline_independent_pairs", "_dijkstra"):
+        monkeypatch.setattr(multicopy, name, refuse)
+    inst = gen_random("pairs", n=4, m=6, seed=0, pairs=2, demand_cap=4)
+    opt = exact_optimum_multicopy(inst)
+    assert (opt.cost, opt.copies) == brute_copy_optimum(inst)
+
+
 # ---------------------------------------------------------------------------
 # the shared integer search against the two Fraction searches it replaced
 #
 # _reference_subset and _reference_copies are the earlier oracles, one
-# branch and bound each with a Fraction fill over every row at every node.
+# branch and bound each with a Fraction fill over every row at every node,
+# each starting from the same greedy incumbent as the shared search.
 # The shared kernel must explore the same tree: same cost, same tuple and
 # same node count.
 
@@ -343,8 +371,14 @@ def _reference_copies(instance):
     for r, key in enumerate(keys):
         for e in key:
             rows_of[e].append(r)
-    base = baseline_independent_pairs(instance)
-    copies = tuple(min(base.copies[e], limit[e]) for e in range(m))
+    spare = [sum(limit[e] * caps[e] for e in key) - nd for key, nd in rows]
+    copies = list(limit)
+    for e in sorted(range(m), key=lambda e: (-costs[e], e)):
+        while copies[e] and all(spare[r] >= caps[e] for r in rows_of[e]):
+            copies[e] -= 1
+            for r in rows_of[e]:
+                spare[r] -= caps[e]
+    copies = tuple(copies)
     best = [sum((costs[e] * c for e, c in enumerate(copies)), Fraction(0)), copies, 0]
     chosen_cap = [0] * len(keys)
     open_cap = [sum(limit[e] * caps[e] for e in key) for key in keys]
@@ -432,7 +466,7 @@ def test_node_counts_are_pinned():
     # changed count means a changed search tree.
     assert exact_optimum(gen_random("uniform", 12, 24, 7)).explored == 2961
     tail = gen_random("pairs", 8, 12, 1004, pairs=3)
-    assert exact_optimum_multicopy(tail).explored == 26951
+    assert exact_optimum_multicopy(tail).explored == 26753
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +704,10 @@ def test_gen_random_guards():
     with pytest.raises(ValueError, match="distinct pairs"):
         gen_random("pairs", n=4, m=5, seed=0, pairs=7)
     assert len(gen_random("pairs", n=4, m=5, seed=0, pairs=6).requirements.pairs) == 6
+    # Every distinct pair of 20 vertices: rejection sampling needs more
+    # than a thousand draws here, and still ends.
+    every = gen_random("pairs", n=20, m=19, seed=1, pairs=190).requirements.pairs
+    assert len({(min(s, t), max(s, t)) for s, t, _ in every}) == 190
 
 
 def test_gap_generator_guards():

@@ -28,7 +28,7 @@ def _tiny_solution():
 def test_keep_probabilities_freeze_and_scale():
     inst, variant, sol = _tiny_solution()
     scale = variant.scale
-    probs = keep_probabilities(sol, scale)
+    probs = keep_probabilities(sol)
     assert probs[0] == 1                      # at threshold or above: bought
     assert probs[1] == scale * Fraction(1, 200)
     assert probs[1] < 1
@@ -36,25 +36,23 @@ def test_keep_probabilities_freeze_and_scale():
     # Probabilities never exceed one even when scale * x does.
     big = FractionalSolution(inst, (Fraction(1), Fraction(1, 20), Fraction(0)),
                              sol.threshold)
-    assert keep_probabilities(big, scale)[1] == 1
+    assert keep_probabilities(big)[1] == 1
 
 
 def test_expected_cost_bound_is_the_probability_weighted_cost():
-    inst, variant, sol = _tiny_solution()
-    scale = variant.scale
-    probs = keep_probabilities(sol, scale)
-    assert expected_cost_bound(sol, scale) == sum(
+    inst, _, sol = _tiny_solution()
+    probs = keep_probabilities(sol)
+    assert expected_cost_bound(sol) == sum(
         (e.cost * p for e, p in zip(inst.edges, probs)), Fraction(0)
     )
 
 
 def test_sample_edges_deterministic_and_frozen_edges_always_kept():
-    inst, variant, sol = _tiny_solution()
-    scale = variant.scale
-    draws = {sample_edges(sol, scale, seed) for seed in range(30)}
+    inst, _, sol = _tiny_solution()
+    draws = {sample_edges(sol, seed) for seed in range(30)}
     assert all(0 in chosen for chosen in draws)       # frozen edge
     assert all(2 not in chosen for chosen in draws)   # probability zero
-    assert sample_edges(sol, scale, 7) == sample_edges(sol, scale, 7)
+    assert sample_edges(sol, 7) == sample_edges(sol, 7)
 
 
 def test_round_solution_retries_and_reports():
@@ -127,7 +125,7 @@ def test_mean_cost_tracks_the_expected_bound():
     inst = gen_random("uniform", n=7, m=12, seed=21)
     sol, _ = solve_good(inst, seed=21)
     scale = variant_for(inst).scale
-    bound = expected_cost_bound(sol, scale)
+    bound = expected_cost_bound(sol)
     total = Fraction(0)
     runs = 200
     for s in range(runs):
