@@ -24,7 +24,10 @@ field of a single integer that deciding an edge updates in one
 addition.  Pruning uses a fractional covering lower bound: the
 cheapest fill of the first most deficient row from its undecided lots,
 each lot being an edge at its full bound, taken in order of cost per
-capacity, then cost, then index.  The bound never overestimates, so
+capacity, then cost, then index.  That row is carried to the children:
+excluding an edge changes no gap and including one only lowers its own
+rows' gaps, so the row is searched for again only below an included
+edge that crosses it.  The bound never overestimates, so
 only strictly-worse branches die and the lexicographically least
 optimum survives ties, whatever the incumbent.
 """
@@ -53,6 +56,7 @@ from .util import ceil_div, over_common_denominator
 
 SUBSET_EDGE_LIMIT = 24
 MULTICOPY_EDGE_LIMIT = 12
+NODE_BUDGET = 1_000_000  # of a forced search; see _search
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ def constraint_rows(instance):
 # ---------------------------------------------------------------------------
 # branch and bound over bounded copy vectors
 
-def _search(rows, costs, caps, bound, order, leaf_key):
+def _search(rows, costs, caps, bound, order, leaf_key, force):
     """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
     covers every row: a row (edge tuple, need) is covered when the
     copies of its edges carry at least `need` capacity.
@@ -115,9 +119,11 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     cannot cover.  Edges are decided in `order`, counts ascending, and
     `leaf_key(copies, pos)` gives the key that breaks cost ties at a
     covered node where order[pos:] is still undecided (at zero copies).
-    Returns (cost, key, nodes explored).
+    Returns (cost, key, nodes explored).  With `force` the search raises
+    CapabilityError once it explores more than NODE_BUDGET nodes.
     """
     m = len(costs)
+    budget = NODE_BUDGET if force else float("inf")
     price, scale = over_common_denominator(costs)
     rank = [0] * m
     for i, e in enumerate(order):
@@ -126,6 +132,7 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     for r, (key, _) in enumerate(rows):
         for e in key:
             rows_of[e].append(r)
+    crosses = [set(rs) for rs in rows_of]
     span = [bound[e] * caps[e] for e in range(m)]
     slack = [sum(span[e] for e in key) - need for key, need in rows]
     for row, room in zip(rows, slack):
@@ -165,12 +172,19 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     current = [0] * m
     explored = 0
 
-    def descend(pos, cost):
+    def descend(pos, cost, deficient):
+        # deficient: the parent's first most deficient row, None if it may have moved
         nonlocal best, best_key, explored, packed
         explored += 1
+        if explored > budget:
+            raise CapabilityError(f"forced search passed NODE_BUDGET = {NODE_BUDGET} nodes")
         if packed & high != high:
             return  # some row is short even with every open copy bought
-        worst = max(gap)
+        if deficient is None:
+            worst = max(gap)
+            deficient = gap.index(worst)
+        else:
+            worst = gap[deficient]
         if worst <= 0:
             if cost <= best:
                 key = leaf_key(current, pos)
@@ -182,7 +196,7 @@ def _search(rows, costs, caps, bound, order, leaf_key):
         # that covers the rest; prune when the fill costs more than
         # best - cost (cross-multiplied at that partial lot).
         room = best - cost
-        for rk, c, u in lots[gap.index(worst)]:
+        for rk, c, u in lots[deficient]:
             if rk >= pos:
                 if u >= worst:
                     if c * worst > room * u:
@@ -193,18 +207,20 @@ def _search(rows, costs, caps, bound, order, leaf_key):
         e = order[pos]
         cap, full, rs, one = caps[e], span[e], rows_of[e], step[e]
         packed -= bound[e] * one
-        descend(pos + 1, cost)
+        descend(pos + 1, cost, deficient)
+        if deficient in crosses[e]:
+            deficient = None
         for count in range(1, bound[e] + 1):
             for r in rs:
                 gap[r] -= cap
             packed += one
             current[e] = count
-            descend(pos + 1, cost + price[e] * count)
+            descend(pos + 1, cost + price[e] * count, deficient)
         current[e] = 0
         for r in rs:
             gap[r] += full
 
-    descend(0, 0)
+    descend(0, 0, None)
     return Fraction(best, scale), best_key, explored
 
 
@@ -221,9 +237,10 @@ class SubsetOptimum:
 def exact_optimum(instance, force=False):
     """Minimum-cost feasible edge subset by branch and bound.
 
-    Capped at m <= 24 unless force=True.  Raises InfeasibleError when
-    even the full edge set fails.  Among optima, returns the
-    lexicographically least edge tuple.
+    Capped at m <= 24 unless force=True, which caps the search at
+    NODE_BUDGET nodes instead.  Raises InfeasibleError when even the full
+    edge set fails.  Among optima, returns the lexicographically least
+    edge tuple.
     """
     if instance.m > SUBSET_EDGE_LIMIT and not force:
         raise CapabilityError(
@@ -250,7 +267,7 @@ def exact_optimum(instance, force=False):
             cand.sort()
         return tuple(cand)
 
-    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, padded)
+    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, padded, force)
     return SubsetOptimum(cost, edges, explored)
 
 
@@ -271,7 +288,8 @@ def exact_optimum_multicopy(instance, force=False):
     copies than that already cover the largest demand single-handedly on
     every cut through the edge, so exceeding the bound never helps; at
     these bounds, InfeasibleError means some pair is cut off from its sink.
-    Capped at m <= 12 unless force=True.  Among optima, returns the
+    Capped at m <= 12 unless force=True, which caps the search at
+    NODE_BUDGET nodes instead.  Among optima, returns the
     lexicographically least copy vector.
     """
     if instance.m > MULTICOPY_EDGE_LIMIT and not force:
@@ -288,7 +306,7 @@ def exact_optimum_multicopy(instance, force=False):
     limit = [ceil_div(max_need, u) for u in caps]
     cost, copies, explored = _search(
         rows, [e.cost for e in instance.edges], caps, limit, range(instance.m),
-        lambda current, pos: tuple(current),
+        lambda current, pos: tuple(current), force,
     )
     return CopyOptimum(cost, copies, explored)
 

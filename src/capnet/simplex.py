@@ -32,12 +32,16 @@ when nonbasic, a stored row's value at D when basic):
 mu is nonzero only on the entering structural and on the basic
 structurals whose row is nonzero there, and a nonbasic surplus reads
 rate 0.  RowStore packs each column of A and of b into one integer with a
-biased w-bit field per row, so either sum, over all rows at once, is one
-sum of multiplier times packed column, read back with one to_bytes.  A
-field is exact while its sum stays below 2^(w-1) in absolute value:
-before each sum every field is bounded by (largest row sum |a| + |b|)
-times the largest |multiplier|, and a bound reaching 2^(w-2) repacks the
-columns wider.
+w-bit field per row, so either sum, over all rows at once, is one sum of
+multiplier times packed column, read back with one to_bytes.  A field is
+exact while its sum stays below 2^(w-1) in absolute value: every field
+is bounded by (largest row sum |a| + |b|) times the largest
+|multiplier|, or times D for a value, since 0 <= x <= 1, and a bound
+reaching 2^(w-2) repacks the columns wider.  The rates are summed every
+iteration, the values only when a ratio test first needs them and again
+after a repack.  In between, the packed values V follow the packed falls
+F = -D.ds exactly: a bound flip (step 1) makes V - F, and a pivot (step
+lnum / lrate, to D') the Bareiss step (lrate V - lnum F) * D' // (D lrate).
 
 A pivot on element p in column q, with the pivot row P brought to D and
 negated when p < 0, maps each stored row T with f = T[q] nonzero to
@@ -130,18 +134,25 @@ class RowStore:
         self._bias = _biased([0] * len(self._ints), self.width)
         self._columns = [_biased(column, self.width) - self._bias for column in zip(*self._ints)]
 
-    def sums(self, multipliers):
-        """(fields, bias, positive): for the i-th distinct row, fields[i] -
-        bias is the sum of multipliers[j] * a_ij over the columns j given
-        (column m is the rhs), and positive[i] is 1 if that is above 0."""
-        top = max(map(abs, multipliers.values()), default=0)
-        if self.extent * top >= 1 << (self.width - 2):
-            self._repack(self.extent * top)
+    def widen(self, top):
+        """Repack if a sum with multipliers up to `top` in absolute value
+        could overflow a field; True if it did."""
+        if self.extent * top < 1 << (self.width - 2):
+            return False
+        self._repack(self.extent * top)
+        return True
+
+    def pack(self, multipliers):
+        """sum_j multipliers[j] * a_ij over the columns j given (column m
+        is the rhs), for every distinct row i, as one signed packed integer."""
+        return sum(v * self._columns[j] for j, v in multipliers.items())
+
+    def decode(self, total):
+        """(fields, bias, positive) of a packed total: for the i-th
+        distinct row, fields[i] - bias is its sum, and positive[i] is 1 if
+        that is above 0.  Every sum must lie within the last widen()."""
         size = self.width // 8
-        total = self._bias
-        for j, v in multipliers.items():
-            total += v * self._columns[j]
-        raw = total.to_bytes(size * len(self._ints), "little")
+        raw = (total + self._bias).to_bytes(size * len(self._ints), "little")
         if size == 8 and sys.byteorder == "little":
             fields = memoryview(raw).cast("Q")
         else:
@@ -173,6 +184,7 @@ def solve_box_covering_lp(costs, rows):
     var = list(range(m))            # variable of each nonbasic column
     at_upper = [True] * m           # bound of each nonbasic column's variable
     basic = {}  # basic structural -> (row: m nonbasic entries, scale * value; scale)
+    surplus = None  # D.s_i of every distinct row, packed; None until needed or after a repack
 
     while True:
         col, entering = -1, m + len(rows)
@@ -212,13 +224,18 @@ def solve_box_covering_lp(costs, rows):
         # A basic surplus falls, to 0 only, where its rate of decrease
         # -D.ds_i is positive.  Its index m + i is above every structural
         # and rises with i, so it leaves only on a strictly smaller step.
-        falls, fbias, falling = rows.sums(fall)
+        if rows.widen(max([den, *map(abs, fall.values())])):
+            surplus = None
+        drop = rows.pack(fall)
+        falls, fbias, falling = rows.decode(drop)
         falling = list(compress(range(len(falling)), falling))
         if falling and lnum:
-            dx = {v: den for v, up in zip(var, at_upper) if v < m and up}
-            dx.update((s, row[m] * den // sc) for s, (row, sc) in basic.items())
-            dx[m] = -den
-            values, vbias, _ = rows.sums(dx)
+            if surplus is None:
+                dx = {v: den for v, up in zip(var, at_upper) if v < m and up}
+                dx.update((s, row[m] * den // sc) for s, (row, sc) in basic.items())
+                dx[m] = -den
+                surplus = rows.pack(dx)
+            values, vbias, _ = rows.decode(surplus)
             for i in falling:
                 num = values[i] - vbias
                 rate = falls[i] - fbias
@@ -234,6 +251,8 @@ def solve_box_covering_lp(costs, rows):
             at_upper[col] = not at_upper[col]
             for row, _ in basic.values():
                 row[m] -= direction * row[col]
+            if surplus is not None:
+                surplus -= drop
             continue
 
         # Pivot: the leaving variable takes over column col.  Its column is
@@ -288,6 +307,8 @@ def solve_box_covering_lp(costs, rows):
             prow[m] += piv
         if block_to_upper:
             prow[m] -= sign * den
+        if surplus is not None:  # each s_i moves by lnum / lrate times its fall
+            surplus = (lrate * surplus - lnum * drop) * piv // (den * lrate)
         den = piv
         var[col], at_upper[col] = block, block_to_upper
         if entering < m:  # an entering surplus is basic and keeps no row

@@ -24,7 +24,12 @@ from capnet.graphs import (
     serialize_instance,
 )
 from capnet.multicopy import run as run_multicopy
-from capnet.oracle import CopyOptimum, gen_random
+from capnet.oracle import (
+    CopyOptimum,
+    gen_label_cover_reduction,
+    gen_random,
+    sample_yes_instances,
+)
 
 
 def _write_instance(tmp_path, instance, name="inst.json"):
@@ -378,6 +383,19 @@ def test_exact_subset_and_copy_documents(tmp_path, capsys):
     copies = json.loads(capsys.readouterr().out)
     assert set(copies) == {"cost", "copies"}
     assert len(copies["copies"]) == inst.m
+
+
+def test_forced_exact_over_its_node_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # tests/test_oracle.py runs this search to the real budget; a smaller
+    # one keeps the CLI path quick.
+    monkeypatch.setattr("capnet.oracle.NODE_BUDGET", 10_000)
+    path = _write_instance(tmp_path, gen_label_cover_reduction(sample_yes_instances()[3]))
+    assert main(["exact", path, "--multicopy", "--force"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [json.loads(l) for l in captured.err.splitlines() if l.startswith("{")]
+    assert errors == [{"error": "CapabilityError",
+                       "message": "forced search passed NODE_BUDGET = 10000 nodes"}]
 
 
 def test_console_script_smoke(tmp_path):

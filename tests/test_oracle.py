@@ -469,6 +469,24 @@ def test_node_counts_are_pinned():
     assert exact_optimum_multicopy(tail).explored == 26753
 
 
+def test_node_totals_over_the_lp_populations_are_pinned():
+    # Population 1 of the benchmark's uniform-lp (the anchor, then
+    # n = 10, 11, 12 with m = 2n) and kway-partition workloads.
+    uniform = [gen_random("uniform", 12, 24, 7)] + [
+        gen_random("uniform", 10 + i % 3, 20 + 2 * (i % 3), 1000 + i) for i in range(8)]
+    kway = [gen_random("kway", 9, 16, 1000 + i, levels=2) for i in range(10)]
+    assert sum(exact_optimum(inst).explored for inst in uniform) == 10693
+    assert sum(exact_optimum(inst).explored for inst in kway) == 2504
+
+
+def test_forced_search_stops_at_its_node_budget():
+    # The reduction of label-cover toy 3 (n = 16, m = 22) runs for
+    # minutes unbounded; forced, it stops after NODE_BUDGET nodes.
+    inst = gen_label_cover_reduction(sample_yes_instances()[3])
+    with pytest.raises(CapabilityError, match=f"NODE_BUDGET = {oracle.NODE_BUDGET} nodes"):
+        exact_optimum_multicopy(inst, force=True)
+
+
 # ---------------------------------------------------------------------------
 # the inclusion-minimal rows against every merged cut row
 #
