@@ -1,10 +1,11 @@
 """Command line front end: solve, bench, gen, verify, exact.
 
 Exit codes: 0 success, 1 usage or capability error, 2 infeasible or
-failed run, 3 verification failure or a broken internal invariant
-(InvariantError).  Every error is also emitted as a single JSON line on
-stderr.  Reports are deterministic byte-for-byte given the same flags;
-wall time goes to stderr only, never into output files.
+failed run (bench reports any per-trial error this way), 3 verification
+failure or a broken internal invariant (InvariantError).  Every error is
+also emitted as a single JSON line on stderr.  Reports are deterministic
+byte-for-byte given the same flags; wall time goes to stderr only, never
+into output files.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _report_text(rows, fmt, comments=()):
     return _csv_text(rows, comments) if fmt == "csv" else _json_text(rows, comments)
 
 
-def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
+def _solve_row(instance, name, alg, seed, gamma, want_oracle):
     """One report row plus the JSON trace document."""
     row = {"instance": name, "variant": alg, "n": instance.n, "m": instance.m,
            "seed": "" if seed is None else seed}
@@ -103,7 +104,7 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
         trace = json.loads(solution.to_json())
         oracle_cost = None
         if want_oracle:
-            oracle_cost = exact_optimum_multicopy(instance, force=force).cost
+            oracle_cost = exact_optimum_multicopy(instance).cost
     else:
         fractional, certificate = solve_good(instance, gamma=gamma, seed=seed)
         report = round_solution(fractional, seed=seed)
@@ -125,7 +126,7 @@ def _solve_row(instance, name, alg, seed, gamma, want_oracle, force):
         }
         oracle_cost = None
         if want_oracle:
-            oracle_cost = exact_optimum(instance, force=force).cost
+            oracle_cost = exact_optimum(instance).cost
     if oracle_cost is not None:
         row["oracle_cost"] = format_rational(oracle_cost)
         alg_cost = Fraction(row["alg_cost"])
@@ -145,9 +146,7 @@ def cmd_solve(args):
         raise ValueError(
             f"--alg {alg} does not match the instance requirements (expected {expected})"
         )
-    row, trace = _solve_row(
-        instance, args.instance, alg, args.seed, args.gamma, args.oracle, args.force
-    )
+    row, trace = _solve_row(instance, args.instance, alg, args.seed, args.gamma, args.oracle)
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(json.dumps(trace, sort_keys=True, separators=(",", ":")) + "\n")
@@ -174,7 +173,7 @@ def cmd_bench(args):
             )
             row, _ = _solve_row(
                 instance, f"gen-{kind}-{t}", args.alg, run_seed,
-                None, args.oracle, args.force,
+                None, args.oracle,
             )
         except (InfeasibleError, DisconnectedError, IterationLimitError,
                 CapabilityError, ValueError) as exc:
@@ -217,10 +216,10 @@ def cmd_exact(args):
     with open(args.instance) as fh:
         instance = parse_instance(fh.read())
     if args.multicopy:
-        result = exact_optimum_multicopy(instance, force=args.force)
+        result = exact_optimum_multicopy(instance)
         doc = {"cost": format_rational(result.cost), "copies": list(result.copies)}
     else:
-        result = exact_optimum(instance, force=args.force)
+        result = exact_optimum(instance)
         doc = {"cost": format_rational(result.cost), "edges": list(result.edges)}
     _write_output(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     return 0
@@ -303,15 +302,12 @@ def cmd_verify(args):
 
 
 def _add_common(parser, *flags, seed_required=False):
-    """--out, and those of --seed, --format and --force that the subcommand reads."""
+    """--out, and those of --seed and --format that the subcommand reads."""
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if "--seed" in flags:
         parser.add_argument("--seed", type=int, required=seed_required, default=None)
     if "--format" in flags:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if "--force" in flags:
-        parser.add_argument("--force", action="store_true",
-                            help="lift the exact oracle's size caps")
 
 
 def _add_generator_flags(parser):
@@ -338,7 +334,7 @@ def build_parser():
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact oracle and report the ratio")
     p.add_argument("--trace", default=None, help="write the JSON trace here")
-    _add_common(p, "--seed", "--format", "--force")
+    _add_common(p, "--seed", "--format")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="seeded random sweep")
@@ -346,7 +342,7 @@ def build_parser():
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     _add_generator_flags(p)
-    _add_common(p, "--seed", "--format", "--force", seed_required=True)
+    _add_common(p, "--seed", "--format", seed_required=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random instance")
@@ -363,7 +359,7 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--multicopy", action="store_true",
                    help="optimize copy counts instead of a subset")
-    _add_common(p, "--force")
+    _add_common(p)
     p.set_defaults(func=cmd_exact)
 
     return parser
@@ -377,10 +373,6 @@ def main(argv=None):
             args.gamma = Fraction(args.gamma)
         except (ValueError, ZeroDivisionError):
             parser.error(f"bad --gamma value {args.gamma!r}")
-    if getattr(args, "force", False) and not getattr(args, "oracle", True):
-        _emit_error("UsageError",
-                    "--force lifts the exact oracle's size caps, so it needs --oracle")
-        return 1
     started = time.monotonic()
     try:
         code = args.func(args)

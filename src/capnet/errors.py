@@ -13,7 +13,8 @@ class InstanceFormatError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """Input exceeds a documented size cap of an exact routine."""
+    """Input exceeds a documented size cap or work budget of an exact
+    routine."""
 
 
 class InfeasibleError(RuntimeError):

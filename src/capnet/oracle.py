@@ -29,7 +29,8 @@ excluding an edge changes no gap and including one only lowers its own
 rows' gaps, so the row is searched for again only below an included
 edge that crosses it.  The bound never overestimates, so
 only strictly-worse branches die and the lexicographically least
-optimum survives ties, whatever the incumbent.
+optimum survives ties, whatever the incumbent.  Every search raises
+CapabilityError past NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ from .graphs import (
 from .kclp import FractionalSolution, variant_for
 from .util import ceil_div, over_common_denominator
 
-SUBSET_EDGE_LIMIT = 24
-MULTICOPY_EDGE_LIMIT = 12
-NODE_BUDGET = 1_000_000  # of a forced search; see _search
+NODE_BUDGET = 1_000_000  # of every search; see _search
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,7 @@ def constraint_rows(instance):
 # ---------------------------------------------------------------------------
 # branch and bound over bounded copy vectors
 
-def _search(rows, costs, caps, bound, order, leaf_key, force):
+def _search(rows, costs, caps, bound, order, leaf_key):
     """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
     covers every row: a row (edge tuple, need) is covered when the
     copies of its edges carry at least `need` capacity.
@@ -119,11 +118,12 @@ def _search(rows, costs, caps, bound, order, leaf_key, force):
     cannot cover.  Edges are decided in `order`, counts ascending, and
     `leaf_key(copies, pos)` gives the key that breaks cost ties at a
     covered node where order[pos:] is still undecided (at zero copies).
-    Returns (cost, key, nodes explored).  With `force` the search raises
-    CapabilityError once it explores more than NODE_BUDGET nodes.
+    Returns (cost, key, nodes explored).  Raises CapabilityError once it
+    explores more than NODE_BUDGET nodes: a count of nodes, not of
+    seconds, and each node's work grows with the number of rows.
     """
     m = len(costs)
-    budget = NODE_BUDGET if force else float("inf")
+    budget = NODE_BUDGET
     price, scale = over_common_denominator(costs)
     rank = [0] * m
     for i, e in enumerate(order):
@@ -177,7 +177,7 @@ def _search(rows, costs, caps, bound, order, leaf_key, force):
         nonlocal best, best_key, explored, packed
         explored += 1
         if explored > budget:
-            raise CapabilityError(f"forced search passed NODE_BUDGET = {NODE_BUDGET} nodes")
+            raise CapabilityError(f"search passed NODE_BUDGET = {budget} nodes")
         if packed & high != high:
             return  # some row is short even with every open copy bought
         if deficient is None:
@@ -234,18 +234,13 @@ class SubsetOptimum:
     explored: int
 
 
-def exact_optimum(instance, force=False):
+def exact_optimum(instance):
     """Minimum-cost feasible edge subset by branch and bound.
 
-    Capped at m <= 24 unless force=True, which caps the search at
-    NODE_BUDGET nodes instead.  Raises InfeasibleError when even the full
-    edge set fails.  Among optima, returns the lexicographically least
-    edge tuple.
+    Raises InfeasibleError when even the full edge set fails, and
+    CapabilityError when the search passes NODE_BUDGET nodes.  Among
+    optima, returns the lexicographically least edge tuple.
     """
-    if instance.m > SUBSET_EDGE_LIMIT and not force:
-        raise CapabilityError(
-            f"subset search is capped at m = {SUBSET_EDGE_LIMIT}; pass force=True to override"
-        )
     rows = constraint_rows(instance)
     if not rows:
         return SubsetOptimum(Fraction(0), (), 0)
@@ -267,7 +262,7 @@ def exact_optimum(instance, force=False):
             cand.sort()
         return tuple(cand)
 
-    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, padded, force)
+    cost, edges, explored = _search(rows, costs, caps, [1] * m, order, padded)
     return SubsetOptimum(cost, edges, explored)
 
 
@@ -281,21 +276,16 @@ class CopyOptimum:
     explored: int
 
 
-def exact_optimum_multicopy(instance, force=False):
+def exact_optimum_multicopy(instance):
     """Minimum-cost copy vector meeting every pair demand.
 
     Copy counts per edge are bounded by ceil(max demand / u(e)): more
     copies than that already cover the largest demand single-handedly on
     every cut through the edge, so exceeding the bound never helps; at
     these bounds, InfeasibleError means some pair is cut off from its sink.
-    Capped at m <= 12 unless force=True, which caps the search at
-    NODE_BUDGET nodes instead.  Among optima, returns the
-    lexicographically least copy vector.
+    CapabilityError means the search passed NODE_BUDGET nodes.  Among
+    optima, returns the lexicographically least copy vector.
     """
-    if instance.m > MULTICOPY_EDGE_LIMIT and not force:
-        raise CapabilityError(
-            f"copy search is capped at m = {MULTICOPY_EDGE_LIMIT}; pass force=True to override"
-        )
     if not isinstance(instance.requirements, Pairs):
         raise ValueError("the copy oracle expects pair requirements")
     rows = constraint_rows(instance)
@@ -306,7 +296,7 @@ def exact_optimum_multicopy(instance, force=False):
     limit = [ceil_div(max_need, u) for u in caps]
     cost, copies, explored = _search(
         rows, [e.cost for e in instance.edges], caps, limit, range(instance.m),
-        lambda current, pos: tuple(current), force,
+        lambda current, pos: tuple(current),
     )
     return CopyOptimum(cost, copies, explored)
 

@@ -198,17 +198,6 @@ def test_solve_refuses_gamma_without_meaning(tmp_path, capsys):
         assert err["error"] == "ValueError" and "gamma" in err["message"]
 
 
-def test_force_needs_the_oracle(tmp_path, capsys):
-    path = _write_instance(tmp_path, gen_random("uniform", n=5, m=7, seed=1))
-    bench = ["bench", "--alg", "uniform", "--trials", "1", "--seed", "1", "--n", "5", "--m", "7"]
-    for argv in (["solve", path, "--seed", "1"], bench):
-        assert main(argv + ["--force"]) == 1
-        err = _stderr_error(capsys)
-        assert err["error"] == "UsageError" and "--oracle" in err["message"]
-        assert main(argv + ["--force", "--oracle"]) == 0
-        capsys.readouterr()
-
-
 def test_solve_infeasible_instance(tmp_path, capsys):
     split = Instance(4, ((0, 1, 2, 1), (2, 3, 2, 1)), Uniform(1))
     path = _write_instance(tmp_path, split)
@@ -249,6 +238,20 @@ def test_bench_zero_trials(capsys):
                  "--seed", "1", "--n", "5", "--m", "7"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == [CSV_SCHEMA, ",".join(CSV_COLUMNS)]
+
+
+def test_bench_over_the_node_budget_flushes_its_rows_and_exits_2(capsys, monkeypatch):
+    # The three trials' subset searches take 135, 151 and 45 nodes, so
+    # a budget of 140 stops the second one.
+    monkeypatch.setattr("capnet.oracle.NODE_BUDGET", 140)
+    assert main(["bench", "--alg", "uniform", "--trials", "3", "--seed", "1",
+                 "--n", "8", "--m", "14", "--oracle"]) == 2
+    captured = capsys.readouterr()
+    rows, _ = _read_report(captured.out)  # checks the header lines too
+    assert [r["instance"] for r in rows] == ["gen-uniform-0"]
+    errors = [json.loads(l) for l in captured.err.splitlines() if l.startswith("{")]
+    assert errors == [{"error": "CapabilityError",
+                       "message": "search passed NODE_BUDGET = 140 nodes"}]
 
 
 def test_bench_json_format(capsys):
@@ -309,7 +312,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,flag", [
     ("verify", "--format=json"), ("verify", "--seed=1"), ("verify", "--force"),
-    ("exact", "--format=csv"), ("exact", "--seed=1"),
+    ("exact", "--format=csv"), ("exact", "--seed=1"), ("exact", "--force"),
     ("gen", "--format=json"), ("gen", "--force"),
 ])
 def test_flags_a_subcommand_ignores_are_usage_errors(command, flag, capsys):
@@ -385,17 +388,28 @@ def test_exact_subset_and_copy_documents(tmp_path, capsys):
     assert len(copies["copies"]) == inst.m
 
 
+def test_exact_past_the_old_edge_caps(tmp_path, capsys):
+    # m = 26 and m = 13, past the subset and copy oracles' old edge caps
+    # of 24 and 12; tests/test_oracle.py pins the same optima.
+    subset = _write_instance(tmp_path, gen_random("uniform", 12, 26, 500), "subset.json")
+    assert main(["exact", subset]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == "48"
+    pairs = _write_instance(tmp_path, gen_random("pairs", 8, 13, 501, pairs=3), "pairs.json")
+    assert main(["exact", pairs, "--multicopy"]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] == "24"
+
+
 def test_forced_exact_over_its_node_budget_exits_1(tmp_path, capsys, monkeypatch):
     # tests/test_oracle.py runs this search to the real budget; a smaller
     # one keeps the CLI path quick.
     monkeypatch.setattr("capnet.oracle.NODE_BUDGET", 10_000)
     path = _write_instance(tmp_path, gen_label_cover_reduction(sample_yes_instances()[3]))
-    assert main(["exact", path, "--multicopy", "--force"]) == 1
+    assert main(["exact", path, "--multicopy"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [json.loads(l) for l in captured.err.splitlines() if l.startswith("{")]
     assert errors == [{"error": "CapabilityError",
-                       "message": "forced search passed NODE_BUDGET = 10000 nodes"}]
+                       "message": "search passed NODE_BUDGET = 10000 nodes"}]
 
 
 def test_console_script_smoke(tmp_path):

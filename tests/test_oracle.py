@@ -22,8 +22,6 @@ from capnet.graphs import (
     serialize_instance,
 )
 from capnet.oracle import (
-    MULTICOPY_EDGE_LIMIT,
-    SUBSET_EDGE_LIMIT,
     LabelCoverInstance,
     constraint_rows,
     exact_optimum,
@@ -161,14 +159,23 @@ def test_subset_oracle_trivial_and_infeasible():
         exact_optimum(split)
 
 
-def test_subset_oracle_edge_cap_and_force():
-    edges = tuple((0, 1, 1, 1) for _ in range(SUBSET_EDGE_LIMIT + 1))
-    inst = Instance(2, edges, Uniform(SUBSET_EDGE_LIMIT + 1))
-    with pytest.raises(CapabilityError):
-        exact_optimum(inst)
-    opt = exact_optimum(inst, force=True)
-    assert opt.cost == SUBSET_EDGE_LIMIT + 1   # every copy is needed
-    assert len(opt.edges) == SUBSET_EDGE_LIMIT + 1
+def test_subset_oracle_past_the_old_edge_cap():
+    # m = 25 parallel edges, one past the edge cap the oracle once had.
+    edges = tuple((0, 1, 1, 1) for _ in range(25))
+    opt = exact_optimum(Instance(2, edges, Uniform(25)))
+    assert opt.cost == 25   # every copy is needed
+    assert len(opt.edges) == 25
+
+
+def test_oracles_past_the_old_edge_caps_match_their_pinned_optima():
+    # m = 26 and m = 13, past the old caps of 24 and 12: the optima and
+    # node counts the search returned when only a forced search reached them.
+    opt = exact_optimum(gen_random("uniform", 12, 26, 500))
+    assert (opt.cost, opt.edges, opt.explored) == (
+        48, (1, 5, 8, 9, 13, 15, 17, 18, 19, 21, 23, 24, 25), 2203)
+    opt = exact_optimum_multicopy(gen_random("pairs", 8, 13, 501, pairs=3))
+    assert (opt.cost, opt.copies, opt.explored) == (
+        24, (0, 1, 0, 1, 0, 1, 0, 2, 0, 0, 2, 0, 0), 1012)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +234,11 @@ def test_copy_oracle_matches_brute_force_on_arcs():
     assert (opt.cost, opt.copies) == brute_copy_optimum(toy) == (2, (1,) * toy.m)
 
 
-def test_copy_oracle_edge_cap():
-    edges = tuple((0, 1, 1, 1) for _ in range(MULTICOPY_EDGE_LIMIT + 1))
+def test_copy_oracle_past_the_old_edge_cap():
+    # m = 13 parallel edges, one past the edge cap the copy oracle once had.
+    edges = tuple((0, 1, 1, 1) for _ in range(13))
     inst = Instance(2, edges, Pairs(((0, 1, 2),)))
-    with pytest.raises(CapabilityError):
-        exact_optimum_multicopy(inst)
-    assert exact_optimum_multicopy(inst, force=True).cost == 2
+    assert exact_optimum_multicopy(inst).cost == 2
 
 
 def test_both_oracles_share_one_infeasibility_rule_and_incumbent(monkeypatch):
@@ -480,11 +486,13 @@ def test_node_totals_over_the_lp_populations_are_pinned():
 
 
 def test_forced_search_stops_at_its_node_budget():
-    # The reduction of label-cover toy 3 (n = 16, m = 22) runs for
-    # minutes unbounded; forced, it stops after NODE_BUDGET nodes.
+    # The copy search on the reduction of label-cover toy 3 (n = 16,
+    # m = 22) runs for minutes unbounded; the budget stops it after
+    # NODE_BUDGET nodes.
     inst = gen_label_cover_reduction(sample_yes_instances()[3])
-    with pytest.raises(CapabilityError, match=f"NODE_BUDGET = {oracle.NODE_BUDGET} nodes"):
-        exact_optimum_multicopy(inst, force=True)
+    message = f"^search passed NODE_BUDGET = {oracle.NODE_BUDGET} nodes$"
+    with pytest.raises(CapabilityError, match=message):
+        exact_optimum_multicopy(inst)
 
 
 # ---------------------------------------------------------------------------
