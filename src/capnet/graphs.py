@@ -412,10 +412,8 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
         w = weighting[i]
         if w < 0:
             raise ValueError(f"negative weight on edge {i}")
-        if instance.directed:
-            add_arc(e.tail, e.head, w)
-        else:
-            add_arc(e.tail, e.head, w)
+        add_arc(e.tail, e.head, w)
+        if not instance.directed:
             add_arc(e.head, e.tail, w)
 
     value = 0
@@ -539,13 +537,10 @@ def serialize_instance(instance) -> str:
 
 
 def _expect(container, key, kinds, where):
-    if isinstance(container, dict):
-        if key not in container:
-            raise InstanceFormatError(where, "missing")
-        value = container[key]
-    else:
-        value = key
-    if kinds is not None and (not isinstance(value, kinds) or isinstance(value, bool)):
+    if key not in container:
+        raise InstanceFormatError(where, "missing")
+    value = container[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise InstanceFormatError(where, f"expected {kinds}, got {type(value).__name__}")
     return value
 

@@ -15,10 +15,12 @@ connections are what later pairs exploit; their cost is charged to
 component leaders so that the realized cost never exceeds 9 * sum ell_i
 (checked on every run; a failure raises InvariantError).
 
-Charging bookkeeping, per merge: connecting across distance d with
-h = floor(log2 d) charges the path to X's h-leader when one is set,
-otherwise to X's leader (a registered pair of maximal class), and the
-connecting pair becomes the h-leader of the merged component.
+Each forest component is keyed by its least vertex, which is also its
+union-find root.  Charging bookkeeping, per merge: connecting across
+distance d with h = floor(log2 d) charges the path to X's h-leader when
+one is set, otherwise to X's leader (a registered pair of maximal
+class), and the connecting pair becomes the h-leader of the merged
+component.
 
 Semantics pinned down where the pseudocode is loose:
 
@@ -66,8 +68,9 @@ class ComponentInfo:
 class ForestState:
     """Disjoint-set over vertices with per-component charging metadata.
 
-    Metadata merges deterministically: on a tie the component with the
-    smallest vertex wins, so runs do not depend on union internals.
+    A union keeps the root with the smaller least vertex, so every root
+    is its component's least vertex and `info` is keyed by it; runs do
+    not depend on union internals.
     """
 
     def __init__(self, n):
@@ -81,40 +84,18 @@ class ForestState:
         return v
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+        """Merge in place into the least root; False if a, b were one.
+        The higher class wins, a tie and the h-leaders keep the winner's."""
+        ra, rb = sorted((self.find(a), self.find(b)))
         if ra == rb:
-            return ra
-        ia, ib = self.info.pop(ra), self.info.pop(rb)
-        if min(ib.members) < min(ia.members):
-            ia, ib = ib, ia
-            ra, rb = rb, ra
-        # ia now belongs to the component with the smallest vertex; its
-        # choices win ties below.
+            return False
         self.parent[rb] = ra
-        merged = ComponentInfo(ia.members | ib.members)
-        if ib.cls is not None and (ia.cls is None or ib.cls > ia.cls):
-            merged.cls, merged.leader = ib.cls, ib.leader
-        else:
-            merged.cls, merged.leader = ia.cls, ia.leader
-        merged.h_leaders = dict(ib.h_leaders)
-        merged.h_leaders.update(ia.h_leaders)
-        self.info[ra] = merged
-        return ra
-
-    def component(self, v):
-        return self.info[self.find(v)]
-
-    def snapshot(self):
-        """Current components as (min member, root, info), sorted."""
-        out = [(min(info.members), root, info) for root, info in self.info.items()]
-        out.sort(key=lambda t: t[0])
-        return out
-
-    def register_pair(self, position, endpoint, cls):
-        info = self.component(endpoint)
-        if cls is not None and (info.cls is None or cls > info.cls):
-            info.cls = cls
-            info.leader = position
+        win, lose = self.info[ra], self.info.pop(rb)
+        win.members |= lose.members
+        if lose.cls is not None and (win.cls is None or lose.cls > win.cls):
+            win.cls, win.leader = lose.cls, lose.leader
+        win.h_leaders = {**lose.h_leaders, **win.h_leaders}
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +186,20 @@ class MultiCopySolution:
 
 
 # ---------------------------------------------------------------------------
-# shortest paths under per-iteration lengths
+# shortest paths
 
-def iteration_costs(instance, forest_edges, demand):
-    """Edge lengths for one iteration, given the forest bought so far."""
-    inf = set(forest_edges)
-    out = []
+def _pair_graph(instance, name):
+    """Adjacency lists (edge index, other end) of an undirected instance
+    with pair requirements; `name` words the ValueError otherwise."""
+    if not isinstance(instance.requirements, Pairs):
+        raise ValueError(f"{name} expects pair requirements")
+    if instance.directed:
+        raise ValueError(f"{name} works on undirected instances")
+    adjacency = [[] for _ in range(instance.n)]
     for i, e in enumerate(instance.edges):
-        if i in inf:
-            out.append(Fraction(0))
-        else:
-            out.append(e.cost * (1 + Fraction(demand, e.capacity)))
-    return out
+        adjacency[e.tail].append((i, e.head))
+        adjacency[e.head].append((i, e.tail))
+    return adjacency
 
 
 def _dijkstra(n, adjacency, lengths, source):
@@ -257,19 +240,12 @@ def run(instance):
     and per-pair feasibility of the bought copies are checked before
     returning (InvariantError).
     """
-    if not isinstance(instance.requirements, Pairs):
-        raise ValueError("the forest algorithm expects pair requirements")
-    if instance.directed:
-        raise ValueError("the forest algorithm works on undirected instances")
+    adjacency = _pair_graph(instance, "the forest algorithm")
     pairs = instance.requirements.pairs
     order = sorted(
         (j for j in range(len(pairs)) if pairs[j][2] > 0),
         key=lambda j: -pairs[j][2],
     )
-    adjacency = [[] for _ in range(instance.n)]
-    for i, e in enumerate(instance.edges):
-        adjacency[e.tail].append((i, e.head))
-        adjacency[e.head].append((i, e.tail))
 
     state = ForestState(instance.n)
     forest = set()
@@ -279,18 +255,18 @@ def run(instance):
 
     def add_path(edges, new, dropped):
         for e in edges:
-            a, b = instance.edges[e].tail, instance.edges[e].head
-            if state.find(a) == state.find(b):
-                if e not in forest:
-                    dropped.append(e)
-                continue
-            state.union(a, b)
-            forest.add(e)
-            new.append(e)
+            if state.union(instance.edges[e].tail, instance.edges[e].head):
+                forest.add(e)
+                new.append(e)
+            elif e not in forest:
+                dropped.append(e)
 
     for position, j in enumerate(order):
         s, t, demand = pairs[j]
-        lengths = iteration_costs(instance, forest, demand)
+        lengths = [
+            Fraction(0) if i in forest else e.cost * (1 + Fraction(demand, e.capacity))
+            for i, e in enumerate(instance.edges)
+        ]
         dist_s, pred_s = _dijkstra(instance.n, adjacency, lengths, s)
         if dist_s[t] is _INF:
             raise InfeasibleError(f"pair {j} is disconnected", (s, t))
@@ -307,17 +283,14 @@ def run(instance):
         if ell > 0:
             cls = floor_log2(ell)
             for endpoint, label, dist, pred in ((s, "s", dist_s, pred_s), (t, "t", dist_t, pred_t)):
-                home = state.find(endpoint)
-                for _, root, info in state.snapshot():
-                    if root == home or state.find(root) == state.find(endpoint):
+                # Unions below merge into the endpoint's component, so an
+                # entry they absorbed or changed fails the find test.
+                for root, info in sorted(state.info.items()):
+                    if info.cls is None or state.find(root) == state.find(endpoint):
                         continue
-                    if info.cls is None:
-                        continue
-                    best, best_v = _INF, None
-                    for v in sorted(info.members):
-                        if dist[v] < best:
-                            best, best_v = dist[v], v
-                    if best is _INF or best > pow2(min(cls, info.cls)):
+                    best_v = min(info.members, key=lambda v: (dist[v], v))
+                    best = dist[best_v]
+                    if best > pow2(min(cls, info.cls)):
                         continue
                     if best > 0:
                         h = floor_log2(best)
@@ -333,14 +306,15 @@ def run(instance):
                     )
                     add_path(_walk_back(pred, endpoint, best_v), new_conn, dropped)
                     if h is not None:
-                        state.component(endpoint).h_leaders[h] = position
+                        state.info[state.find(endpoint)].h_leaders[h] = position
 
-        bought = []
-        for e in sorted(new_direct + new_conn):
-            count = ceil_div(demand, instance.edges[e].capacity)
+        bought = [(e, ceil_div(demand, instance.edges[e].capacity))
+                  for e in sorted(new_direct + new_conn)]
+        for e, count in bought:
             copies[e] = count
-            bought.append((e, count))
-        state.register_pair(position, s, cls)
+        home = state.info[state.find(s)]
+        if cls is not None and (home.cls is None or cls > home.cls):
+            home.cls, home.leader = cls, position
 
         iterations.append(
             IterationRecord(
@@ -350,9 +324,7 @@ def run(instance):
             )
         )
 
-    cost = sum(
-        (instance.edges[e].cost * c for e, c in enumerate(copies)), Fraction(0)
-    )
+    cost = sum((e.cost * c for e, c in zip(instance.edges, copies)), Fraction(0))
     invariant(cost <= 9 * ell_total, "charging bound failed; this is a bug")
     capacity = tuple(copies[e] * instance.edges[e].capacity for e in range(instance.m))
     for j in order:
@@ -383,15 +355,8 @@ def baseline_independent_pairs(instance):
     Copies accumulate across pairs; the reported cost is the literal sum
     of the per-pair purchases, the natural no-sharing strawman.
     """
-    if not isinstance(instance.requirements, Pairs):
-        raise ValueError("the baseline expects pair requirements")
-    if instance.directed:
-        raise ValueError("the baseline works on undirected instances")
+    adjacency = _pair_graph(instance, "the baseline")
     pairs = instance.requirements.pairs
-    adjacency = [[] for _ in range(instance.n)]
-    for i, e in enumerate(instance.edges):
-        adjacency[e.tail].append((i, e.head))
-        adjacency[e.head].append((i, e.tail))
     copies = [0] * instance.m
     cost = Fraction(0)
     paths = []

@@ -10,27 +10,26 @@ equals max flow.  A cut whose edges contain another row's, at no larger
 demand, is covered whenever that row is, so it gets no row.
 
 Both oracles run one branch and bound over bounded copy vectors
-(`_search`): an edge subset is a copy vector bounded by 1, deciding edges
-in cost-descending order, while the copy oracle bounds edge e by
-ceil(max need / u(e)) and decides edges in index order.  The search
-does the set-up of both: a row its edges at their bounds cannot cover
-raises InfeasibleError, and the incumbent lowers each edge from its
-bound, cost descending, to the fewest copies that keep its rows
-covered.  Counts branch ascending, so a subset tries excluding an edge first.  Costs are
+(`_search`): an edge subset is a copy vector bounded by 1, deciding
+edges in cost-descending order, while the copy oracle bounds edge e by
+ceil(max need / u(e)) and decides edges in index order.  The search does
+the set-up of both: a row its edges at their bounds cannot cover raises
+InfeasibleError, and the incumbent lowers each edge from its bound, cost
+descending, to the fewest copies that keep its rows covered.  Counts
+branch ascending, so a subset tries excluding an edge first.  Costs are
 scaled once to integers by the lcm of their denominators.  Each row
 keeps its gap (need - chosen), updated only on the rows of the edge
 being decided, and its slack (chosen + open - need), one fixed-width
-field of a single integer that deciding an edge updates in one
-addition.  Pruning uses a fractional covering lower bound: the
-cheapest fill of the first most deficient row from its undecided lots,
-each lot being an edge at its full bound, taken in order of cost per
-capacity, then cost, then index.  That row is carried to the children:
-excluding an edge changes no gap and including one only lowers its own
-rows' gaps, so the row is searched for again only below an included
-edge that crosses it.  The bound never overestimates, so
-only strictly-worse branches die and the lexicographically least
-optimum survives ties, whatever the incumbent.  Every search raises
-CapabilityError past NODE_BUDGET nodes.
+field of a single integer that deciding an edge updates in one addition.
+Pruning uses a fractional covering lower bound: the cheapest fill of the
+first most deficient row from its undecided lots, each lot being an edge
+at its full bound, taken in order of cost per capacity, then cost, then
+index.  That row is carried to the children: excluding an edge changes
+no gap and including one only lowers its own rows' gaps, so the row is
+searched for again only below an included edge that crosses it.  The
+bound never overestimates, so only strictly-worse branches die and the
+lexicographically least optimum survives ties, whatever the incumbent.
+Every search raises CapabilityError past NODE_BUDGET nodes.
 """
 
 from __future__ import annotations

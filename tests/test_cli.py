@@ -399,7 +399,7 @@ def test_exact_past_the_old_edge_caps(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cost"] == "24"
 
 
-def test_forced_exact_over_its_node_budget_exits_1(tmp_path, capsys, monkeypatch):
+def test_exact_over_its_node_budget_exits_1(tmp_path, capsys, monkeypatch):
     # tests/test_oracle.py runs this search to the real budget; a smaller
     # one keeps the CLI path quick.
     monkeypatch.setattr("capnet.oracle.NODE_BUDGET", 10_000)

@@ -1,11 +1,13 @@
 """Forest algorithm for the multiple-copies variant."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from capnet.errors import InfeasibleError
+from capnet import multicopy
+from capnet.errors import InfeasibleError, InvariantError
 from capnet.graphs import Edge, Instance, Pairs, Uniform
 from capnet.multicopy import baseline_independent_pairs, run
 from capnet.oracle import exact_optimum_multicopy, gen_random
@@ -173,3 +175,39 @@ def test_json_and_csv_shapes():
     assert doc["schema"] == "capnet.multicopy.v1"
     assert doc["copies"] == [3]
     assert doc["cost"] == "9"
+
+
+# One digest over the forest documents of 261 instances.  Seed 2077 is the
+# only one here that charges an h-leader and seed 5287 the only one that
+# drops a cycle-closing edge, so the pin covers every charging path.
+_PINNED_FOREST_DIGEST = (
+    "8fde13f33e250f4f9bd7499d92848911550d44b558d80ce9ca40bbaa2d049210"
+)
+
+
+def test_forest_documents_are_pinned():
+    instances = [
+        gen_random("pairs", 8, 12, seed, pairs=3)
+        for seed in [*range(1000, 1130), *range(2000, 2130)]
+    ]
+    instances.append(gen_random("pairs", 12, 19, 5287, pairs=4, cost_range=(0, 3)))
+    digest = hashlib.sha256()
+    seen = set()
+    for inst in instances:
+        sol = run(inst)
+        digest.update(sol.to_json().encode() + b"\n")
+        for it in sol.iterations:
+            seen.update(c.role for c in it.connections)
+            if it.dropped_edges:
+                seen.add("dropped")
+    assert seen == {"h-leader", "leader", "free", "dropped"}
+    assert digest.hexdigest() == _PINNED_FOREST_DIGEST
+
+
+def test_broken_charging_bound_raises(monkeypatch):
+    # Buying a hundred times the copies a path pays for breaks 9 * sum(ell).
+    monkeypatch.setattr(
+        multicopy, "ceil_div", lambda a, b: 100 * -(-a // b)
+    )
+    with pytest.raises(InvariantError, match="charging bound failed"):
+        run(_single_edge())

@@ -485,7 +485,7 @@ def test_node_totals_over_the_lp_populations_are_pinned():
     assert sum(exact_optimum(inst).explored for inst in kway) == 2504
 
 
-def test_forced_search_stops_at_its_node_budget():
+def test_search_stops_at_its_node_budget():
     # The copy search on the reduction of label-cover toy 3 (n = 16,
     # m = 22) runs for minutes unbounded; the budget stops it after
     # NODE_BUDGET nodes.
