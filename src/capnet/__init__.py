@@ -15,7 +15,6 @@ from .errors import (
     InfeasibleError,
     InstanceFormatError,
     InvariantError,
-    IterationLimitError,
 )
 from .graphs import (
     Cut,
@@ -70,7 +69,6 @@ __all__ = [
     "Instance",
     "InstanceFormatError",
     "InvariantError",
-    "IterationLimitError",
     "KWay",
     "KWayCut",
     "LabelCoverInstance",

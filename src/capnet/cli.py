@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleError,
     InstanceFormatError,
     InvariantError,
-    IterationLimitError,
 )
 from .graphs import parse_instance, serialize_instance
 from .kclp import solve_good, variant_for, verify_good
@@ -175,8 +174,7 @@ def cmd_bench(args):
                 instance, f"gen-{kind}-{t}", args.alg, run_seed,
                 None, args.oracle,
             )
-        except (InfeasibleError, DisconnectedError, IterationLimitError,
-                CapabilityError, ValueError) as exc:
+        except (InfeasibleError, DisconnectedError, CapabilityError, ValueError) as exc:
             failure = exc
             break
         rows.append(row)
@@ -379,7 +377,7 @@ def main(argv=None):
     except (InstanceFormatError, CapabilityError, ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, exc)
         return 1
-    except (InfeasibleError, DisconnectedError, IterationLimitError) as exc:
+    except (InfeasibleError, DisconnectedError) as exc:
         _emit_error(type(exc).__name__, exc)
         return 2
     except InvariantError as exc:

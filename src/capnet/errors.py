@@ -37,12 +37,3 @@ class InvariantError(RuntimeError):
 def invariant(holds, message):
     if not holds:
         raise InvariantError(message)
-
-
-class IterationLimitError(RuntimeError):
-    """Cutting-plane loop hit its round cap.  `pool` holds the rows
-    added so far, a tuple of KCConstraint in the order they were added."""
-
-    def __init__(self, message, pool=None):
-        self.pool = pool
-        super().__init__(message)

@@ -394,7 +394,9 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
     Undirected edges may carry flow either way up to their weight.  With
     `cutoff` the search stops as soon as the value reaches it; the result
     is then a lower bound and is flagged inexact.  An unreachable sink is
-    a legitimate zero flow, not an error.
+    a legitimate zero flow, not an error.  Each pass starts with one
+    breadth-first search of the residual graph; `source_side` is what the
+    last one reached.
     """
     if source == sink:
         raise ValueError("source and sink must differ")
@@ -417,7 +419,7 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
             add_arc(e.head, e.tail, w)
 
     value = 0
-    while cutoff is None or value < cutoff:
+    while True:
         parent = [-1] * n
         parent[source] = -2
         queue = [source]
@@ -427,7 +429,7 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
                 if parent[v] == -1 and arcs[a][1] > 0:
                     parent[v] = a
                     queue.append(v)
-        if parent[sink] == -1:
+        if parent[sink] == -1 or (cutoff is not None and value >= cutoff):
             break
         bottleneck = None
         v = sink
@@ -446,17 +448,7 @@ def max_flow(instance, weighting, source, sink, cutoff=None):
             arcs[a ^ 1][1] += bottleneck
             v = arcs[a ^ 1][0]
         value += bottleneck
-
-    reach = {source}
-    queue = [source]
-    for u in queue:
-        for a in adj[u]:
-            v = arcs[a][0]
-            if v not in reach and arcs[a][1] > 0:
-                reach.add(v)
-                queue.append(v)
-    exact = sink not in reach
-    return FlowResult(value, exact, frozenset(reach))
+    return FlowResult(value, parent[sink] == -1, frozenset(queue))
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 
-from .errors import InfeasibleError, IterationLimitError, invariant
+from .errors import CapabilityError, InfeasibleError, invariant
 from .graphs import (
     KWay,
     Pairs,
@@ -252,7 +251,9 @@ def _cover_walk(crossing, need, u, num, den):
     A runs over the prefixes of the crossing edges by decreasing x that
     end between distinct x values, the empty one first.  The walk keeps
     the capacity A covers and stops once it meets `need`: from there on
-    the residual demand is 0, and so is every slack.
+    the residual demand is 0, and so is every slack.  The whole crossing
+    is no candidate: if it left demand, the row would be short at every
+    x, and the walk runs only when no row is short.
     """
     order = sorted(crossing, key=lambda e: -num[e])  # stable: ties stay ascending
     out = []
@@ -271,15 +272,13 @@ def _cover_walk(crossing, need, u, num, den):
             if slack < 0:
                 out.append((slack, tuple(sorted(order[:j]))))
         covered += u[e]
-    if covered < need:  # A = the whole crossing leaves demand and no edge to meet it
-        out.append(((covered - need) * den, crossing))
     return out
 
 
 def _violations(family, variant, num, den, caps, kc):
     """The violated rows at x = num / den (see _scaled), as (slack, row,
-    edge_set) with the slack scaled by den as in _scaled_slack, in row
-    order and, within a row, in candidate order.
+    edge_set) with the slack scaled by den as in _scaled_slack, in no
+    promised order: _first_batch orders them.
 
     First the rows whose capacity under uhat misses their demand, as
     plain cut rows (clamped when `kc`).  When there are none and `kc` is
@@ -292,18 +291,15 @@ def _violations(family, variant, num, den, caps, kc):
     short = [rows for _, need, rows in groups if caps[rows[0]] < need * den]
     if short or not kc:
         slacks = _plain_slacks(family, [rows[0] for rows in short], num, den, kc)
-        return sorted(((v, i, ()) for v, rows in zip(slacks, short) for i in rows),
-                      key=itemgetter(1))
+        return [(v, i, ()) for v, rows in zip(slacks, short) for i in rows]
     crossings = family.distinct[0]
     u = [e.capacity for e in family.instance.edges]
-    hits = []
+    out = []
     for s, need, rows in groups:
         if need and variant.small(caps[rows[0]], need, den):
             found = _cover_walk(crossings[s], need, u, num, den)
-            if found:
-                hits.extend((i, found) for i in rows)
-    hits.sort(key=itemgetter(0))
-    return [(v, i, a) for i, found in hits for v, a in found]
+            out.extend((v, i, a) for i in rows for v, a in found)
+    return out
 
 
 def _first_batch(found, rank):
@@ -389,9 +385,9 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
     relaxation optimum.  Deterministic given (instance, gamma, kc): no
     step draws random numbers, so `seed` does not change the result.
     Raises InfeasibleError when even the full edge set cannot meet the
-    requirements, IterationLimitError if the round cap trips, and
-    CapabilityError past the cut family's caps (n <= 16, and n <= 10 for
-    k-way requirements).
+    requirements, and CapabilityError past the round cap of 50 m n
+    rounds or the cut family's caps (n <= 16, and n <= 10 for k-way
+    requirements).
     """
     if instance.directed:
         raise ValueError("solve_good works on undirected instances")
@@ -446,7 +442,7 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
                 dense[e] = c
             batch.append((dense, con.rhs))
         lp_rows.extend(batch)
-    raise IterationLimitError("cutting-plane loop exceeded its round cap", tuple(pool.values()))
+    raise CapabilityError(f"cutting-plane loop passed its round cap 50 * m * n = {cap} rounds")
 
 
 def verify_good(instance, solution, gamma=None):

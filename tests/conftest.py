@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from capnet import kclp
 from capnet.graphs import Edge, Instance, KWay, Pairs, Uniform
 from capnet.util import ceil_div, iter_partitions, over_common_denominator
 
@@ -242,3 +243,22 @@ def square_pairs():
         ),
         Pairs(((0, 2, 3), (1, 3, 2))),
     )
+
+
+@pytest.fixture
+def endless_separation(monkeypatch):
+    """Make every separation round of solve_good report one fresh row,
+    which x = 1 satisfies, so only the round cap stops the loop.  Returns
+    the list that gets one entry per round."""
+    rounds = []
+
+    def violations(family, variant, num, den, caps, kc):
+        rounds.append(None)
+        return [(-1, 0, (len(rounds),))]
+
+    def constraint(family, den, caps, i, edge_set, clamp=True):
+        return kclp.KCConstraint(None, edge_set, 1, 1, ((0, 1),))
+
+    monkeypatch.setattr(kclp, "_violations", violations)
+    monkeypatch.setattr(kclp, "_constraint", constraint)
+    return rounds

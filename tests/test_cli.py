@@ -28,6 +28,7 @@ from capnet.oracle import (
     CopyOptimum,
     gen_label_cover_reduction,
     gen_random,
+    gen_triangle_gap,
     sample_yes_instances,
 )
 
@@ -410,6 +411,16 @@ def test_exact_over_its_node_budget_exits_1(tmp_path, capsys, monkeypatch):
     errors = [json.loads(l) for l in captured.err.splitlines() if l.startswith("{")]
     assert errors == [{"error": "CapabilityError",
                        "message": "search passed NODE_BUDGET = 10000 nodes"}]
+
+
+def test_solve_past_its_round_cap_exits_1(tmp_path, capsys, endless_separation):
+    path = _write_instance(tmp_path, gen_triangle_gap(2, 1))
+    assert main(["solve", path, "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [json.loads(l) for l in captured.err.splitlines() if l.startswith("{")]
+    message = "cutting-plane loop passed its round cap 50 * m * n = 450 rounds"
+    assert errors == [{"error": "CapabilityError", "message": message}]
 
 
 def test_console_script_smoke(tmp_path):

@@ -12,7 +12,7 @@ from capnet.cutenum import (
     enumerate_near_min_kway_cuts,
 )
 from capnet.errors import CapabilityError, DisconnectedError, InvariantError
-from capnet.graphs import CutFamily, Edge, Instance, Uniform, capacity_weighting
+from capnet.graphs import CutFamily, Edge, Instance, Pairs, Uniform, capacity_weighting
 from capnet.oracle import gen_random
 from capnet.util import iter_partitions
 
@@ -104,6 +104,19 @@ def test_alpha_below_one_rejected():
         enumerate_near_min_cuts(inst, capacity_weighting(inst), Fraction(1, 2))
     with pytest.raises(ValueError):
         enumerate_near_min_kway_cuts(inst, capacity_weighting(inst), 2, Fraction(1, 2))
+
+
+def test_pools_refuse_what_they_cannot_scan():
+    with pytest.raises(ValueError, match="at least two vertices"):
+        enumerate_near_min_cuts(Instance(1, (), Uniform(0)), (), 1)
+    arcs = Instance(3, ((0, 1, 1, 0), (1, 2, 1, 0), (2, 0, 1, 0)), Pairs(((0, 2, 1),)),
+                    directed=True)
+    with pytest.raises(ValueError, match="undirected"):
+        enumerate_near_min_cuts(arcs, capacity_weighting(arcs), 1)
+    inst = _cycle(4)
+    for parts in (1, 5):
+        with pytest.raises(ValueError, match="parts must be between 2 and n"):
+            enumerate_near_min_kway_cuts(inst, capacity_weighting(inst), parts, 1)
 
 
 @pytest.mark.parametrize("parts", [2, 3])

@@ -1,5 +1,6 @@
 """Instance model, flows, cuts, feasibility, serialization."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -179,6 +180,36 @@ def test_max_flow_cutoff_flags_inexact():
     assert res.value == 4 and not res.exact
     full = max_flow(inst, w, 0, 1, cutoff=10)
     assert full.value == 10 and full.exact
+
+
+_PINNED_MAX_FLOW_DIGEST = "982f94d0116bfcdb739f74ffa84e9c9e948719c80dde6a2d58fb7313f8b46f53"
+
+
+def test_max_flow_results_are_pinned():
+    """(value, exact, source side) of every call in a seeded sweep: graphs
+    of 3-10 vertices, every third one directed, under an integer and a
+    rational weighting, from every source with and without a cutoff."""
+    rng = random.Random(4190)
+    digest = hashlib.sha256()
+    calls = stopped = 0
+    for k in range(200):
+        n = rng.randint(3, 10)
+        inst = gen_random("pairs", n, rng.randint(n - 1, 2 * n), 4000 + k)
+        if k % 3 == 2:
+            inst = Instance(n, inst.edges, inst.requirements, directed=True)
+        integer = capacity_weighting(inst)
+        rational = tuple(Fraction(rng.randint(0, 2) * u, rng.randint(1, 6)) for u in integer)
+        for w in (integer, rational):
+            for s in range(n):
+                t = rng.choice([v for v in range(n) if v != s])
+                for cutoff in (None, 0, 1, 3, 50):
+                    res = max_flow(inst, w, s, t, cutoff)
+                    record = (str(res.value), res.exact, sorted(res.source_side))
+                    digest.update(repr(record).encode())
+                    calls += 1
+                    stopped += not res.exact
+    assert (calls, stopped) == (12440, 4218)
+    assert digest.hexdigest() == _PINNED_MAX_FLOW_DIGEST
 
 
 def test_max_flow_rejects_equal_endpoints_and_negative_weights():
@@ -384,6 +415,23 @@ def test_check_feasible_pairs_reports_failing_index(square_pairs):
     assert res.witness.separates(*square_pairs.requirements.pairs[res.pair_index][:2])
 
 
+def test_check_feasible_skips_zero_demand_pairs():
+    path = ((0, 1, 2, 1), (1, 2, 2, 1))
+    inst = Instance(3, path, Pairs(((0, 2, 0), (0, 1, 2), (1, 2, 3))))
+    res = check_feasible(inst, (0, 1))
+    assert not res.feasible and res.pair_index == 2  # pair 0 asks for nothing
+    assert check_feasible(Instance(3, path, Pairs(((0, 2, 0), (0, 1, 2)))), (0,)).feasible
+
+
+def test_subset_weighting_refuses_an_edge_out_of_range():
+    inst = Instance(2, ((0, 1, 3, 1),), Uniform(1))
+    assert subset_weighting(inst, (0,)) == (3,)
+    with pytest.raises(ValueError, match="edge index 1 out of range"):
+        subset_weighting(inst, (1,))
+    with pytest.raises(ValueError, match="out of range"):
+        subset_weighting(inst, (-1,))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -396,7 +444,7 @@ def test_serialize_round_trip(kind, extra):
     inst = gen_random(kind, n=6, m=9, seed=11, **extra)
     text = serialize_instance(inst)
     back = parse_instance(text)
-    assert back == inst
+    assert back == inst == parse_instance(text.encode())
     assert serialize_instance(back) == text  # canonical form is a fixed point
     assert text.endswith("\n")
 

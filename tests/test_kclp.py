@@ -59,6 +59,9 @@ def test_variant_inference():
     assert v.small(6, 2) and not v.small(7, 3)
     wide = variant_for(pairs, gamma=4)
     assert wide.doc["gamma"] == "4" and wide.small_bound == 16
+    idle = variant_for(Instance(3, pairs.edges, Pairs(((0, 1, 0), (0, 2, 0)))))
+    assert idle.doc == {"kind": "near-uniform", "gamma": "1", "base": 0}
+    assert idle.scale == 40 * log2_fixed(3) and idle.small_bound == 0
     with pytest.raises(ValueError):
         variant_for(pairs, gamma=Fraction(5, 4))  # below the actual spread
     for inst in (uni, kway):  # gamma means nothing without pairs
@@ -267,6 +270,8 @@ def test_trivial_zero_requirement():
     assert sol.cost() == 0
     assert cert.rounds == 0
     assert sol.x == (0, 0)
+    idle = solve_good(Instance(3, inst.edges, Pairs(((0, 2, 0),))))
+    assert idle[0].x == (0, 0) and idle[1].rounds == 0
 
 
 def test_infeasible_requirements_raise():
@@ -391,8 +396,10 @@ def test_integer_separation_matches_the_fraction_scan(monkeypatch):
         middle = rounds[len(rounds) // 2]
         for x, kc in ((middle, True), (rounds[-1], True), (middle, False)):
             num, den, caps = scaled(family, x)
-            got = kclp._violations(family, variant, num, den, caps, kc)
-            ref = _ref_violations(family, variant, x, kc)
+            # The scan promises no order, so both lists go by (row, edge set).
+            got = sorted(kclp._violations(family, variant, num, den, caps, kc),
+                         key=lambda v: v[1:3])
+            ref = sorted(_ref_violations(family, variant, x, kc), key=lambda v: v[1:3])
             assert [(i, a, *kclp._row_terms(family, i, a, kc)) for _, i, a in got] == [
                 v[1:] for v in ref
             ], (kind, seed)
@@ -493,9 +500,28 @@ def test_capability_guards():
         solve_good(kbig, seed=0)
 
 
+def test_round_cap_raises_a_named_capability_error(endless_separation):
+    inst = gen_triangle_gap(2, 1)
+    with pytest.raises(CapabilityError, match=r"round cap 50 \* m \* n = 450 rounds"):
+        solve_good(inst)
+    assert len(endless_separation) == 50 * inst.m * inst.n
+
+
+def test_verify_good_takes_a_plain_tuple():
+    inst = gen_triangle_gap(4, 8)
+    sol, _ = solve_good(inst)
+    assert verify_good(inst, tuple(str(v) for v in sol.x)) == verify_good(inst, sol) == []
+    zero = verify_good(inst, (0, 0, 0))
+    assert zero and zero == verify_good(
+        inst, FractionalSolution(inst, (0, 0, 0), variant_for(inst).threshold)
+    )
+
+
 def test_variant_mismatch_rejected():
     with pytest.raises(ValueError):
         solve_good(Instance(2, ((0, 1, 1, 1),), Pairs(((0, 1, 1),)), directed=True), seed=0)
+    with pytest.raises(ValueError, match="at least two vertices"):
+        solve_good(Instance(1, (), Uniform(0)))
 
 
 def test_near_uniform_residuals_strengthen_the_star():

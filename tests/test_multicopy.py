@@ -56,6 +56,9 @@ def test_zero_demand_pairs_are_skipped():
     sol = run(inst)
     assert sol.order == (1,)
     assert len(sol.iterations) == 1
+    base = baseline_independent_pairs(inst)
+    assert [j for j, _, _ in base.paths] == [1]
+    assert (base.copies, base.cost) == ((2, 2), 4)
 
 
 def test_pairs_processed_by_descending_demand():
@@ -159,6 +162,8 @@ def test_directed_and_disconnected_are_rejected():
     )
     with pytest.raises(InfeasibleError):
         run(disconnected)
+    with pytest.raises(InfeasibleError, match="pair 0 is disconnected"):
+        baseline_independent_pairs(disconnected)
 
 
 

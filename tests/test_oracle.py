@@ -187,6 +187,14 @@ def test_copy_oracle_single_edge():
     assert opt.cost == 9 and opt.copies == (3,)
 
 
+def test_copy_oracle_trivial_and_wrong_requirements():
+    path = ((0, 1, 2, 5), (1, 2, 3, 5))
+    free = exact_optimum_multicopy(Instance(3, path, Pairs(((0, 2, 0), (1, 2, 0)))))
+    assert (free.cost, free.copies, free.explored) == (0, (0, 0), 0)
+    with pytest.raises(ValueError, match="pair requirements"):
+        exact_optimum_multicopy(Instance(3, path, Uniform(1)))
+
+
 def test_copy_oracle_prefers_one_big_copy():
     inst = Instance(
         2,
@@ -619,6 +627,16 @@ def test_label_cover_rejects_malformed_inputs():
     with pytest.raises(InstanceFormatError):   # labeling out of range
         LabelCoverInstance(**good, relations=((0, 0, ((0, 0),)),),
                            labeling=((5,), (0,)))
+    with pytest.raises(InstanceFormatError, match="A-vertex 1 out of range"):
+        LabelCoverInstance(**good, relations=((1, 0, ((0, 0),)),))
+    with pytest.raises(InstanceFormatError, match="A-label 2 out of range"):
+        LabelCoverInstance(**good, relations=((0, 0, ((2, 0),)),))
+    with pytest.raises(InstanceFormatError, match="side B is not regular"):
+        LabelCoverInstance(**{**good, "b_count": 2},
+                           relations=((0, 0, ((0, 0),)),))
+    with pytest.raises(InstanceFormatError, match="B-side label out of range"):
+        LabelCoverInstance(**good, relations=((0, 0, ((0, 0),)),),
+                           labeling=((0,), (5,)))
 
 
 def test_violated_by_lists_broken_constraints():
@@ -644,6 +662,12 @@ def test_label_cover_dict_round_trip():
             "A": 1, "B": 1, "dA": 1, "dB": 1, "LA": 1, "LB": 1,
             "pi": [[0, 0]],
         })
+    small = {"A": 1, "B": 1, "dA": 1, "dB": 1, "LA": 1, "LB": 1, "pi": [[0, 0, [[0, 0]]]]}
+    assert label_cover_from_dict(small).relations == ((0, 0, ((0, 0),)),)
+    with pytest.raises(InstanceFormatError, match="pi: must be a list"):
+        label_cover_from_dict({**small, "pi": "0 0"})
+    with pytest.raises(InstanceFormatError, match="phi: labeling is"):
+        label_cover_from_dict({**small, "phi": [[0]]})
 
 
 def test_reduction_layout_and_size():

@@ -96,6 +96,8 @@ def test_row_must_hold_at_upper_bounds():
         solve_box_covering_lp([Fraction(1)], [([2], 3)])
     with pytest.raises(ValueError):
         solve_box_covering_lp([Fraction(1)], [([1, 1], 1)])  # width mismatch
+    with pytest.raises(ValueError, match="row width"):
+        solve_box_covering_lp([Fraction(1)], RowStore(2, [([1, 1], 1)]))
 
 
 def test_binding_box_bound():
