@@ -280,7 +280,12 @@ class CutFamily:
     with the same n, block counts and `directed`.  Each edge's crossing
     lane over the rows comes from the byte columns of its two ends.
     `distinct` lists each crossing tuple once (rows that share one hold
-    the same tuple) and `groups` each (crossing, requirement) pair once.
+    the same tuple) with each row's `slot` in that list, and `groups`
+    each (crossing, requirement) pair once.  Work that depends on the
+    crossing alone runs once per distinct crossing: `lanes[e]` has a
+    byte per distinct crossing, 1 where it cuts edge e, and
+    `crossing_sums` sums a weighting over each distinct crossing, which
+    `capacities` reads per row through `slot`.
     """
 
     def __init__(self, instance, sizes=None):
@@ -305,14 +310,16 @@ class CutFamily:
         joined = b"".join([lane(e.tail, e.head) for e in instance.edges])
         index = {}
         slot = [index.setdefault(joined[i::rows], len(index)) for i in range(rows)]
-        crossings = tuple(tuple(itertools.compress(range(m), key)) for key in index)
+        crossings = tuple(map(tuple, map(itertools.compress, itertools.repeat(range(m)), index)))
         self.distinct = crossings, slot
         self.crossing = tuple(map(crossings.__getitem__, slot))
-        # Edge e's lane over the distinct crossings, one 64-bit field each.
+        # Edge e's lane over the distinct crossings: one byte each in
+        # lanes[e], one 64-bit field each in _packed[e].
         keys, field = b"".join(index), bytearray(8 * len(crossings))
+        self.lanes = tuple(keys[e::m] for e in range(m))
         self._packed = []
-        for e in range(m):
-            field[::8] = keys[e::m]
+        for bits in self.lanes:
+            field[::8] = bits
             self._packed.append(int.from_bytes(field, "little"))
         req = instance.requirements
         if isinstance(req, Pairs):
@@ -325,23 +332,27 @@ class CutFamily:
             self.requirement = tuple(itertools.chain.from_iterable(
                 [_blocks_requirement(req, p)] * count for p, count in blocks))
 
-    def capacities(self, weighting):
-        """(sums, den): row i's exact capacity under `weighting` is
-        sums[i] / den, summed over integer numerators with one common
-        denominator den (1 for an integer weighting)."""
-        nums, den = over_common_denominator(weighting)
+    def crossing_sums(self, nums):
+        """sums[s]: the sum of the integers nums[e] over the edges of
+        distinct crossing s; `slot` maps them to the rows."""
         if len(nums) != len(self._packed):
             raise ValueError("the weighting must give every edge a weight")
-        crossings, slot = self.distinct
+        crossings = self.distinct[0]
         if min(nums, default=0) >= 0 and sum(nums) < 1 << 64:  # every sum fits its field
             packed = sum(map(operator.mul, nums, self._packed))
             sums = array("Q", packed.to_bytes(8 * len(crossings), "little"))
             if sys.byteorder == "big":
                 sums.byteswap()
-        else:
-            weight = nums.__getitem__
-            sums = [sum(map(weight, c)) for c in crossings]
-        return list(map(sums.__getitem__, slot)), den
+            return sums.tolist()
+        weight = nums.__getitem__
+        return [sum(map(weight, c)) for c in crossings]
+
+    def capacities(self, weighting):
+        """(sums, den): row i's exact capacity under `weighting` is
+        sums[i] / den, summed over integer numerators with one common
+        denominator den (1 for an integer weighting)."""
+        nums, den = over_common_denominator(weighting)
+        return list(map(self.crossing_sums(nums).__getitem__, self.distinct[1])), den
 
     @functools.cached_property
     def groups(self):
@@ -352,6 +363,11 @@ class CutFamily:
         for i, key in enumerate(zip(self.distinct[1], self.requirement)):
             index.setdefault(key, []).append(i)
         return [(s, need, rows) for (s, need), rows in index.items()]
+
+    @functools.cached_property
+    def group_rank(self):
+        """group_rank[g]: the least `rank` among the rows of groups[g]."""
+        return [min(map(self.rank.__getitem__, rows)) for _, _, rows in self.groups]
 
     def cut(self, i, capacity):
         """Row i as a KWayCut (partition rows) or a Cut, with the

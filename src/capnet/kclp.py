@@ -20,7 +20,7 @@ constraint pool and alternates exact LP solves with separation rounds:
 Both steps are one scan (_violations) over the rows of the instance's
 exhaustive cut family (graphs.cut_family), which the later stages read
 too.  The scan runs on Python integers: each round writes x over D, the
-lcm of its denominators, once, and every row capacity and cover-row
+lcm of its denominators, once, and every crossing capacity and cover-row
 slack is then an integer D times its value.  As D > 0 this keeps every
 sign and every order of slacks, so the pool, its order and the LP
 vertices are those of an exact rational scan.  A violated row stays a
@@ -32,12 +32,14 @@ For step 2 each cut is tested against a nested family of candidate A
 sets: the prefixes of its crossing edges ordered by decreasing x, cut
 only between distinct x values.  The nearly-integral set is among them,
 as {e : x_e >= t} on the crossing is such a prefix or empty.  Rows that
-share their crossing edges and demand get the same tests, so each
-distinct pair is tested once per round and its results listed for each
-of its rows.  The loop stops when nothing is violated, which certifies
-the two exit conditions the rounding step relies on: the scaled
-capacities cover every requirement, and knapsack-cover holds on every
-small cut for the nearly-integral edge set.
+share their crossing edges and demand get the same tests, so the scan
+tests each distinct pair (CutFamily.groups) once per round and reports
+pairs; only the groups whose least row can make the round's batch are
+expanded to rows (_first_batch).  The loop stops when nothing is
+violated, which certifies the two exit conditions the rounding step
+relies on: the scaled capacities cover every requirement, and
+knapsack-cover holds on every small cut for the nearly-integral edge
+set.
 
 An edge counts as nearly integral when x_e >= 1 / (40 lg n) for the
 uniform variant, 1 / (40 k lg n) for the k-way variant, and
@@ -195,10 +197,10 @@ class KCConstraint:
 
 def _scaled(family, x):
     """(num, den, caps) for one round: x_e = num[e] / den with den the lcm
-    of x's denominators, and caps[i] = den times family row i's capacity
-    under uhat = u * x, all integers."""
+    of x's denominators, and caps[s] = den times the capacity of the
+    family's distinct crossing s under uhat = u * x, all integers."""
     num, den = over_common_denominator(x)
-    caps, _ = family.capacities([e.capacity * v for e, v in zip(family.instance.edges, num)])
+    caps = family.crossing_sums([e.capacity * v for e, v in zip(family.instance.edges, num)])
     return num, den, caps
 
 
@@ -220,23 +222,6 @@ def _scaled_slack(rhs, coeffs, num, den):
     return sum([c * num[e] for e, c in coeffs]) - rhs * den
 
 
-def _plain_slacks(family, rows, num, den, clamp):
-    """_scaled_slack of each listed row's plain cut row (nothing taken as
-    bought), summed per row over one weight list per demand."""
-    u = [e.capacity for e in family.instance.edges]
-    weights = {}
-    out = []
-    for i in rows:
-        need = family.requirement[i]
-        key = need if clamp else None
-        weight = weights.get(key)
-        if weight is None:
-            coeffs = [min(c, need) for c in u] if clamp else u
-            weight = weights[key] = [c * v for c, v in zip(coeffs, num)].__getitem__
-        out.append(sum(map(weight, family.crossing[i])) - need * den)
-    return out
-
-
 def _frozen(variant, num, den):
     """The nearly-integral edges: x_e = num[e] / den at or above the threshold."""
     t = variant.threshold
@@ -255,7 +240,7 @@ def _cover_walk(crossing, need, u, num, den):
     is no candidate: if it left demand, the row would be short at every
     x, and the walk runs only when no row is short.
     """
-    order = sorted(crossing, key=lambda e: -num[e])  # stable: ties stay ascending
+    order = sorted(crossing, key=num.__getitem__, reverse=True)  # stable: ties stay ascending
     out = []
     covered = 0
     last = None
@@ -265,10 +250,7 @@ def _cover_walk(crossing, need, u, num, den):
             rhs = need - covered
             if rhs <= 0:
                 return out
-            slack = -rhs * den
-            for k in range(j, len(order)):
-                f = order[k]
-                slack += min(u[f], rhs) * num[f]
+            slack = sum([(u[f] if u[f] < rhs else rhs) * num[f] for f in order[j:]]) - rhs * den
             if slack < 0:
                 out.append((slack, tuple(sorted(order[:j]))))
         covered += u[e]
@@ -276,49 +258,65 @@ def _cover_walk(crossing, need, u, num, den):
 
 
 def _violations(family, variant, num, den, caps, kc):
-    """The violated rows at x = num / den (see _scaled), as (slack, row,
-    edge_set) with the slack scaled by den as in _scaled_slack, in no
-    promised order: _first_batch orders them.
+    """The violations at x = num / den (see _scaled) as (slack, group,
+    edge_set) triples: every row of CutFamily.groups[group] violates its
+    cover row with `edge_set` taken as bought, by `slack` scaled by den
+    as in _scaled_slack.  In no promised order: _first_batch orders them
+    and names their rows.
 
-    First the rows whose capacity under uhat misses their demand, as
-    plain cut rows (clamped when `kc`).  When there are none and `kc` is
-    set, the violated cover rows of the small rows (VariantRecord.small)
-    found by _cover_walk.  Each test runs once per CutFamily.groups
-    entry, for all of its rows.  No row's terms are kept: the caller
-    builds them (_row_terms) for the rows it adds to the pool.
+    First the groups whose capacity under uhat misses their demand, as
+    plain cut rows (clamped when `kc`): their slacks come from one
+    CutFamily.crossing_sums per demand.  When there are none and `kc` is
+    set, the violated cover rows of the small groups
+    (VariantRecord.small) found by _cover_walk.  No row's terms are
+    kept: the caller builds them (_row_terms) for the rows it adds to
+    the pool.
     """
     groups = family.groups
-    short = [rows for _, need, rows in groups if caps[rows[0]] < need * den]
-    if short or not kc:
-        slacks = _plain_slacks(family, [rows[0] for rows in short], num, den, kc)
-        return [(v, i, ()) for v, rows in zip(slacks, short) for i in rows]
-    crossings = family.distinct[0]
     u = [e.capacity for e in family.instance.edges]
+    short = [g for g, (s, need, _) in enumerate(groups) if caps[s] < need * den]
+    if short or not kc:
+        sums = {}  # demand -> the clamped capacity of each distinct crossing
+        out = []
+        for g in short:
+            s, need, _ = groups[g]
+            if kc and need not in sums:
+                sums[need] = family.crossing_sums([min(c, need) * v for c, v in zip(u, num)])
+            out.append(((sums[need][s] if kc else caps[s]) - need * den, g, ()))
+        return out
+    crossings = family.distinct[0]
     out = []
-    for s, need, rows in groups:
-        if need and variant.small(caps[rows[0]], need, den):
-            found = _cover_walk(crossings[s], need, u, num, den)
-            out.extend((v, i, a) for i in rows for v, a in found)
+    for g, (s, need, _) in enumerate(groups):
+        if need and variant.small(caps[s], need, den):
+            out.extend((v, g, a) for v, a in _cover_walk(crossings[s], need, u, num, den))
     return out
 
 
-def _first_batch(found, rank):
-    """The first SEPARATION_BATCH of `found`, (slack, row, edge_set)
-    triples, ordered by slack, then rank[row], then edge_set.
+def _first_batch(found, family, pool):
+    """The first SEPARATION_BATCH rows of the groups in `found` (see
+    _violations), as (slack, row, edge_set) triples ordered by slack,
+    then rank[row], then edge_set.  Rows in `pool` are left out: x
+    satisfies every pool row, so none is ever found.
 
     Every slack is over the same den, so they order as the slacks
-    themselves do.  Most rows tie on slack at the batch's cut-off (in
-    round 1 every row's slack is minus its demand), so a heap of the
-    batch is kept instead of sorting them all.
+    themselves do.  A group's least row by that key is its head, keyed
+    (slack, group_rank, edge_set).  The SEPARATION_BATCH least heads are
+    as many distinct rows, and every other group's rows sort after them,
+    so only those groups are expanded.  Heaps keep both batches, as most
+    rows tie on slack at the cut-off (in round 1 every row's slack is
+    minus its demand).
     """
-    return heapq.nsmallest(SEPARATION_BATCH, found, key=lambda v: (v[0], rank[v[1]], v[2]))
+    groups, rank, lead = family.groups, family.rank, family.group_rank
+    heads = heapq.nsmallest(SEPARATION_BATCH, found, key=lambda v: (v[0], lead[v[1]], v[2]))
+    rows = [(v, i, a) for v, g, a in heads for i in groups[g][2] if (i, a) not in pool]
+    return heapq.nsmallest(SEPARATION_BATCH, rows, key=lambda v: (v[0], rank[v[1]], v[2]))
 
 
 def _constraint(family, den, caps, i, edge_set, clamp=True):
     """Family row i's KCConstraint with `edge_set` taken as bought, its
-    cut of capacity caps[i] / den under uhat (see _scaled)."""
+    cut of capacity caps[s] / den under uhat (see _scaled), s its slot."""
     rhs, coeffs = _row_terms(family, i, edge_set, clamp)
-    cut = family.cut(i, Fraction(caps[i], den))
+    cut = family.cut(i, Fraction(caps[family.distinct[1][i]], den))
     return KCConstraint(cut, edge_set, family.requirement[i], rhs, coeffs)
 
 
@@ -432,10 +430,10 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
                 variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations)
             )
             return sol, cert
-        new = [v for v in found if (v[1], v[2]) not in pool]
+        new = _first_batch(found, family, pool)
         invariant(new, "separation reported violations but none were new")
         batch = []
-        for _, i, edge_set in _first_batch(new, family.rank):
+        for _, i, edge_set in new:
             con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
             dense = [0] * instance.m
             for e, c in con.coefficients:
@@ -460,7 +458,8 @@ def verify_good(instance, solution, gamma=None):
     num, den, caps = _scaled(family, x)
     frozen = tuple(sorted(_frozen(variant, num, den)))
     short, covers = [], []
-    for i, (cap, need) in enumerate(zip(caps, family.requirement)):
+    for i, (cap, need) in enumerate(zip(map(caps.__getitem__, family.distinct[1]),
+                                        family.requirement)):
         if cap < need * den:
             short.append(("requirement", _constraint(family, den, caps, i, ()).describe()))
         if need and variant.small(cap, need, den):

@@ -55,6 +55,7 @@ from .kclp import FractionalSolution, variant_for
 from .util import ceil_div, over_common_denominator
 
 NODE_BUDGET = 1_000_000  # of every search; see _search
+_BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +68,14 @@ def constraint_rows(instance):
     A subset is feasible iff every row's capacity under the subset meets
     its demand; likewise a copy vector with capacities copies(e) * u(e).
     Rows with identical edge sets merge, keeping the largest demand, and
-    a row (B, need) is dropped when some row (A, need') with A a subset
-    of B and need' >= need implies it: whatever covers the kept rows
-    covers every cut.  The rows come from the instance's cut family, so
+    a row (B, need) is dropped when some other row (A, need') with A a
+    subset of B and need' >= need implies it: whatever covers the kept
+    rows covers every cut.  The work runs per distinct crossing of the
+    family.  Rows are taken by size, so a row meets every row inside it
+    first, and as implication is transitive a row is dropped exactly
+    when a kept one implies it: each kept row marks the crossings that
+    contain it, the AND of its edges' lanes, for its demand and every
+    lower one.  The rows come from the instance's cut family, so
     n <= 16 (10 for k-way).
     """
     family = cut_family(instance)
@@ -78,30 +84,23 @@ def constraint_rows(instance):
     for s, need in zip(slot, family.requirement):
         if need > largest[s]:
             largest[s] = need
-    rows = [(key, need) for key, need in zip(crossings, largest) if need]
-    # Two distinct keys of one size never contain each other, so a row
-    # can only be implied by a smaller one, kept or implied in turn.  Bit k
-    # of crosses[e] is set when the k-th kept row crosses edge e, so the
-    # kept rows inside a key are those crossing no edge outside it.
+    # Bit s of lanes[e] is set when distinct crossing s cuts edge e, so the
+    # AND of a crossing's lanes has the bits of the crossings containing it
+    # (all of them for the empty crossing).
+    lanes = [int(b"0" + lane.translate(_BITS)[::-1], 2) for lane in family.lanes]
+    full = (1 << len(crossings)) - 1
+    implied = {d: 0 for d in set(largest) if d}  # d -> crossings holding a kept row of d or more
     kept = []
-    crosses = [0] * instance.m
-    for key, need in sorted(rows, key=lambda row: len(row[0])):
-        outside = 0
-        inside = set(key)
-        for e, bits in enumerate(crosses):
-            if e not in inside:
-                outside |= bits
-        within = ((1 << len(kept)) - 1) & ~outside
-        while within:
-            low = within & -within
-            if kept[low.bit_length() - 1][1] >= need:
-                break
-            within ^= low
-        else:
-            bit = 1 << len(kept)
-            for e in key:
-                crosses[e] |= bit
+    for s in sorted(range(len(crossings)), key=lambda s: len(crossings[s])):
+        key, need = crossings[s], largest[s]
+        if need and not implied[need] >> s & 1:
             kept.append((key, need))
+            within = full
+            for e in key:
+                within &= lanes[e]
+            for d in implied:
+                if d <= need:
+                    implied[d] |= within ^ (1 << s)
     return tuple(sorted(kept))
 
 

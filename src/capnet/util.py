@@ -48,7 +48,7 @@ def over_common_denominator(values):
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
-    values = [v if type(v) is int else Fraction(v) for v in values]
+    values = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

@@ -247,14 +247,15 @@ def square_pairs():
 
 @pytest.fixture
 def endless_separation(monkeypatch):
-    """Make every separation round of solve_good report one fresh row,
-    which x = 1 satisfies, so only the round cap stops the loop.  Returns
-    the list that gets one entry per round."""
+    """Make every separation round of solve_good report one fresh
+    violation, group 0 with a new edge set as a (slack, group, edge_set)
+    triple, which x = 1 satisfies, so only the round cap stops the loop.
+    Returns the list that gets one entry per round."""
     rounds = []
 
     def violations(family, variant, num, den, caps, kc):
         rounds.append(None)
-        return [(-1, 0, (len(rounds),))]
+        return [(-1, 0, (len(rounds),))]  # group 0's rows, edge set (round,)
 
     def constraint(family, den, caps, i, edge_set, clamp=True):
         return kclp.KCConstraint(None, edge_set, 1, 1, ((0, 1),))

@@ -30,6 +30,7 @@ from capnet.graphs import (
     subset_weighting,
 )
 from capnet.oracle import gen_random
+from capnet.util import over_common_denominator
 
 from conftest import (
     _reference_family,
@@ -289,6 +290,30 @@ def test_cut_family_distinct_view_sums_each_row(sizes, directed):
         members += rows
     assert sorted(members) == list(range(len(family.crossing)))
     assert len({(s, need) for s, need, _ in family.groups}) == len(family.groups)
+
+
+@pytest.mark.parametrize("sizes, directed", [(None, False), (None, True), ((2, 3), False)])
+def test_crossing_sums_through_slot_are_the_row_capacities(sizes, directed):
+    base = gen_random("kway" if sizes else "pairs", n=6, m=9, seed=9, levels=2, pairs=2)
+    inst = Instance(7, base.edges, base.requirements, directed=directed)
+    family = CutFamily(inst, sizes)
+    crossings, slot = family.distinct
+    rng = random.Random(11)
+    top = [0] * (inst.m - 1)
+    weightings = [
+        [rng.randint(0, 20) for _ in range(inst.m)],
+        [Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(inst.m)],
+        [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(inst.m)],
+        top + [(1 << 64) - 1],  # the largest total the packed fields hold
+        top + [1 << 64],        # a total of 2^64: the per-crossing fallback
+        [1 << 61] * inst.m,     # likewise, every weight below 2^64
+    ]
+    for w in weightings:
+        nums, den = over_common_denominator(w)
+        sums = family.crossing_sums(nums)
+        assert len(sums) == len(crossings)
+        assert [sums[s] for s in slot] == [sum(nums[e] for e in c) for c in family.crossing]
+        assert family.capacities(w) == ([sums[s] for s in slot], den)
 
 
 def _directed_pairs(seed):

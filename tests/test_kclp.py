@@ -1,5 +1,6 @@
 """Cut LP with knapsack-cover separation: variants, rows, the main loop."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -249,6 +250,48 @@ def test_solve_good_deterministic():
     assert a_cert.to_json() == b_cert.to_json()
 
 
+_PINNED_SWEEP_DIGEST = "365c228ae4cc6def0dbfde01b157c49c8faf55695dff89d419314dd8a5883fdf"
+
+
+def _solve_sweep():
+    """Seeded uniform, k-way (1-3 levels) and near-uniform instances; every
+    fifth one has its demands tripled, so some solves raise."""
+    rng = random.Random(2425)
+    for k in range(180):
+        kind = ("uniform", "kway", "pairs")[k % 3]
+        n = rng.randint(3, 9)
+        inst = gen_random(kind, n, rng.randint(n - 1, 2 * n), 6000 + k,
+                          levels=1 + k % 4 % 3 if n > 3 else 1, pairs=rng.randint(1, 3))
+        if k % 5 == 4:
+            req = inst.requirements
+            if kind == "uniform":
+                req = Uniform(3 * req.R)
+            elif kind == "kway":
+                req = KWay(tuple(3 * r for r in req.Rs))
+            else:
+                req = Pairs(tuple((s, t, 3 * r) for s, t, r in req.pairs))
+            inst = Instance(inst.n, inst.edges, req)
+        yield inst
+
+
+def test_certificates_over_a_sweep_are_pinned():
+    # Each solve's certificate, with and without cover rows, or the error
+    # it raised: a moved pool row, order, vertex or slack moves the digest.
+    digest = hashlib.sha256()
+    solves = raised = 0
+    for inst in _solve_sweep():
+        for kc in (True, False):
+            try:
+                text = solve_good(inst, kc=kc)[1].to_json()
+            except (InfeasibleError, CapabilityError) as exc:
+                text = repr(exc)
+                raised += 1
+            digest.update(text.encode())
+            solves += 1
+    assert (solves, raised) == (360, 66)
+    assert digest.hexdigest() == _PINNED_SWEEP_DIGEST
+
+
 def test_certificate_json_shape():
     inst = gen_triangle_gap(10, 100)
     _, cert = solve_good(inst, seed=0)
@@ -396,8 +439,10 @@ def test_integer_separation_matches_the_fraction_scan(monkeypatch):
         middle = rounds[len(rounds) // 2]
         for x, kc in ((middle, True), (rounds[-1], True), (middle, False)):
             num, den, caps = scaled(family, x)
-            # The scan promises no order, so both lists go by (row, edge set).
-            got = sorted(kclp._violations(family, variant, num, den, caps, kc),
+            # The scan promises no order, so both lists go by (row, edge set),
+            # the scan's group triples expanded to their rows.
+            found = kclp._violations(family, variant, num, den, caps, kc)
+            got = sorted([(v, i, a) for v, g, a in found for i in family.groups[g][2]],
                          key=lambda v: v[1:3])
             ref = sorted(_ref_violations(family, variant, x, kc), key=lambda v: v[1:3])
             assert [(i, a, *kclp._row_terms(family, i, a, kc)) for _, i, a in got] == [
@@ -462,29 +507,43 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
     # The last round finds nothing, so it walks every small row's
     # (crossing, demand) once, for fewer walks than small rows.
     family, variant = cut_family(inst), variant_for(inst)
-    num, den, caps = kclp._scaled(family, sol.x)
+    num, den, caps = kclp._scaled(family, sol.x)  # caps per distinct crossing
     small = [
         (family.crossing[i], need)
-        for i, need in enumerate(family.requirement)
-        if need and variant.small(caps[i], need, den)
+        for i, (s, need) in enumerate(zip(family.distinct[1], family.requirement))
+        if need and variant.small(caps[s], need, den)
     ]
     assert sorted(rounds[-1]) == sorted(set(small))
     assert len(rounds[-1]) < len(small)
 
 
 def test_first_batch_is_the_head_of_the_full_sort():
-    # Few distinct slacks and ranks, so many rows tie at the cut-off slack
-    # and some tie on slack and rank and differ only in the edge set.
+    # The 2- and 3-part partitions of 7 vertices, two of them isolated:
+    # 364 rows in 47 groups, most of whose first row is not their least by
+    # rank.  One to three distinct slacks, so more than SEPARATION_BATCH
+    # groups often tie at the cut-off slack and only their least ranks
+    # tell them apart, and rows of one group tie on slack and rank and
+    # differ only in the edge set.
+    base = gen_random("kway", 5, 6, 41, levels=2)
+    inst = Instance(7, base.edges, base.requirements)
+    family = CutFamily(inst, (2, 3))
+    groups = family.groups
+    assert (len(family.crossing), len(groups)) == (364, 47)
+    lead = [min(family.rank[i] for i in rows) for _, _, rows in groups]
+    assert family.group_rank == lead
+    assert sum(family.rank[rows[0]] != r for (_, _, rows), r in zip(groups, lead)) >= 40
     rng = random.Random(40)
     batch = kclp.SEPARATION_BATCH
     for trial in range(200):
-        rank = [rng.randrange(6) for _ in range(30)]
-        rows = {(rng.randrange(30), tuple(sorted(rng.sample(range(5), rng.randint(0, 2)))))
-                for _ in range(rng.randint(1, 3 * batch))}
-        found = [(-rng.randint(1, 4) * (1 + trial % 3), i, a) for i, a in rows]
+        keys = {(rng.randrange(len(groups)), tuple(sorted(rng.sample(range(inst.m), rng.randint(0, 2)))))
+                for _ in range(rng.randint(1, 2 * batch))}
+        found = [(-rng.randint(1, 1 + trial % 3), g, a) for g, a in keys]
         rng.shuffle(found)
-        expected = sorted(found, key=lambda v: (v[0], rank[v[1]], v[2]))[:batch]
-        assert kclp._first_batch(found, rank) == expected
+        rows = [(v, i, a) for v, g, a in found for i in groups[g][2]]
+        expected = sorted(rows, key=lambda v: (v[0], family.rank[v[1]], v[2]))[:batch]
+        assert kclp._first_batch(found, family, {}) == expected
+    # Rows already in the pool are left out.
+    assert kclp._first_batch(found, family, {(i, a): None for _, i, a in rows}) == []
 
 
 def test_capability_guards():

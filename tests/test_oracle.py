@@ -1,5 +1,6 @@
 """Exact oracles, gap generators, label cover, and random instances."""
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -560,6 +561,51 @@ def test_rows_are_exactly_the_minimal_implied_set(seed):
         assert any(_implies(kept, row) for kept in rows), row
     for kept in rows:
         assert not any(_implies(other, kept) for other in rows if other != kept), kept
+
+
+_PINNED_ROWS_DIGEST = "45b806951eb4c71f948400edfe077b891dd28f6a8c297c377b02399e1c32f7ab"
+
+
+def _row_sweep():
+    """The instances of the row pin: seeded uniform instances, k-way ones
+    with 1-3 levels (a low demand cap makes levels share a demand),
+    undirected pairs and the same pairs as arcs, the label-cover
+    reductions with n <= 16 and the R = 4, 6 stars."""
+    rng = random.Random(2424)
+    for k in range(60):
+        n = rng.randint(2, 10)
+        yield gen_random("uniform", n, rng.randint(n - 1, 2 * n), 5000 + k)
+    for k in range(60):
+        levels = 1 + k % 3
+        n = rng.randint(levels + 1, 8)
+        cap = rng.choice((None, 2))
+        yield gen_random("kway", n, rng.randint(n - 1, 2 * n), 5100 + k,
+                         levels=levels, demand_cap=cap)
+    for k in range(60):
+        n = rng.randint(3, 9)
+        inst = gen_random("pairs", n, rng.randint(n - 1, 2 * n), 5200 + k,
+                          pairs=rng.randint(1, 3))
+        yield inst
+        yield replace(inst, directed=True)
+    for lc in sample_yes_instances():
+        inst = gen_label_cover_reduction(lc)
+        if inst.n <= EXHAUSTIVE_LIMIT:
+            yield inst
+    for R in (4, 6):
+        yield gen_single_pair_gap(R)[0]
+
+
+def test_constraint_rows_are_pinned():
+    # Every row set of the sweep, as text: a changed reduction moves it.
+    digest = hashlib.sha256()
+    sets = rows = 0
+    for inst in _row_sweep():
+        kept = constraint_rows(inst)
+        digest.update(repr(kept).encode())
+        sets += 1
+        rows += len(kept)
+    assert (sets, rows) == (246, 4014)
+    assert digest.hexdigest() == _PINNED_ROWS_DIGEST
 
 
 def _outcome(search, instance):
