@@ -40,6 +40,7 @@ from .oracle import (
     verify_yes_certificate,
 )
 from .rounding import round_solution
+from .simplex import solve_box_covering_lp
 from .util import derive_seed, format_rational
 
 CSV_SCHEMA = "# capnet report schema v1"
@@ -239,6 +240,16 @@ def _verify_checks():
             f"cover {format_rational(cover.cost)} and optimum {format_rational(best.cost)} "
             f"(want {C}), edges {list(best.edges)}, gap {format_rational(best.cost / plain.cost)}",
         )
+
+    # The simplex packs only the pool rows no earlier row implies: the
+    # benchmark's anchor pool, every row packed, has the same optimum.
+    anchor = gen_random("uniform", 12, 24, 7)
+    sol, cert = solve_good(anchor, seed=0)
+    rows = [(c.dense(anchor.m), c.rhs) for c in cert.constraints]
+    x, cost = solve_box_covering_lp([e.cost for e in anchor.edges], rows)
+    same = tuple(x) == sol.x and cost == cert.cost
+    yield ("implied-rows-anchor", same, f"{cert.packed} of {len(rows)} pool rows packed, every row "
+           f"packed gives {'the same' if same else 'another'} x and cost {format_rational(cost)}")
 
     for R in (4, 6, 8):
         star, reference = gen_single_pair_gap(R)

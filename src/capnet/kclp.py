@@ -25,8 +25,11 @@ slack is then an integer D times its value.  As D > 0 this keeps every
 sign and every order of slacks, so the pool, its order and the LP
 vertices are those of an exact rational scan.  A violated row stays a
 family row index until it enters the pool; only then are its cover
-terms and its Cut or KWayCut built, and Fractions appear only there and
-in the certificate slacks, each its integer slack over D.
+terms built, and its Cut or KWayCut only when the certificate is
+written.  Fractions appear only there and in the certificate slacks,
+each its integer slack over D.  A plain pool row whose crossing holds
+an earlier plain pool row's of its demand is implied by it, and the
+simplex does not pack it (simplex.RowStore).
 
 For step 2 each cut is tested against a nested family of candidate A
 sets: the prefixes of its crossing edges ordered by decreasing x, cut
@@ -53,8 +56,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 
 from .errors import CapabilityError, InfeasibleError, invariant
 from .graphs import (
@@ -69,6 +75,7 @@ from .simplex import RowStore, solve_box_covering_lp
 from .util import format_rational, log2_fixed, over_common_denominator
 
 SEPARATION_BATCH = 40
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a crossing key's complement
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +173,13 @@ class KCConstraint:
     coefficients run over the cut's crossing edges outside edge_set and
     are capacities clamped at the residual, so rows stay valid for every
     feasible integral selection.  edge_set empty reproduces the plain cut
-    constraint with capacities clamped at the full requirement.
+    constraint with capacities clamped at the full requirement.  The cut
+    is `source`, (family, row, capacity): a CutFamily row with the
+    capacity measured for it.  Only the certificate reads the cut, so
+    describe() builds its Cut or KWayCut.
     """
 
-    cut: object
+    source: tuple
     edge_set: tuple
     requirement: int
     rhs: int
@@ -179,8 +189,16 @@ class KCConstraint:
         lhs = sum((c * x[e] for e, c in self.coefficients), Fraction(0))
         return lhs - self.rhs  # slack; negative means violated
 
+    def dense(self, m):
+        """The coefficients over all m edges, 0 off the row."""
+        row = [0] * m
+        for e, c in self.coefficients:
+            row[e] = c
+        return row
+
     def describe(self):
-        d = describe_cut(self.cut)
+        family, i, capacity = self.source
+        d = describe_cut(family.cut(i, capacity))
         d.update(
             {
                 "edge_set": list(self.edge_set),
@@ -209,9 +227,9 @@ def _row_terms(family, i, edge_set, clamp=True):
     (a sorted tuple) taken as bought: the residual demand and, for each
     crossing edge outside `edge_set`, its capacity, clamped at the
     residual when `clamp`."""
-    edges, inside = family.instance.edges, set(edge_set)
-    rest = [(e, edges[e].capacity) for e in family.crossing[i] if e not in inside]
-    covered = sum(edges[e].capacity for e in family.crossing[i] if e in inside)
+    edges, inside, crossing = family.instance.edges, set(edge_set), family.edges_of(i)
+    rest = [(e, edges[e].capacity) for e in crossing if e not in inside]
+    covered = sum(edges[e].capacity for e in crossing if e in inside)
     rhs = max(0, family.requirement[i] - covered)
     return rhs, tuple((e, min(u, rhs) if clamp else u) for e, u in rest)
 
@@ -228,10 +246,12 @@ def _frozen(variant, num, den):
     return {e for e, v in enumerate(num) if v * t.denominator >= t.numerator * den}
 
 
-def _cover_walk(crossing, need, u, num, den):
-    """(slack, edge_set) of each violated cover row of a cut with crossing
-    edges `crossing` (ascending) and demand `need`, at x = num / den and
-    capacities u, slacks scaled by den as in _scaled_slack.
+def _cover_walk(key, need, u, num, den):
+    """(slack, edge_set) of each violated cover row of a cut with demand
+    `need` and the crossing `key` (a CutFamily key: byte e is 1 when the
+    cut crosses edge e), at x = num / den and capacities u, slacks scaled
+    by den as in _scaled_slack.  No edge tuple is built but the violated
+    rows' edge sets.
 
     A runs over the prefixes of the crossing edges by decreasing x that
     end between distinct x values, the empty one first.  The walk keeps
@@ -240,7 +260,8 @@ def _cover_walk(crossing, need, u, num, den):
     is no candidate: if it left demand, the row would be short at every
     x, and the walk runs only when no row is short.
     """
-    order = sorted(crossing, key=num.__getitem__, reverse=True)  # stable: ties stay ascending
+    # stable: ties stay ascending
+    order = sorted(compress(range(len(key)), key), key=num.__getitem__, reverse=True)
     out = []
     covered = 0
     last = None
@@ -284,11 +305,11 @@ def _violations(family, variant, num, den, caps, kc):
                 sums[need] = family.crossing_sums([min(c, need) * v for c, v in zip(u, num)])
             out.append(((sums[need][s] if kc else caps[s]) - need * den, g, ()))
         return out
-    crossings = family.distinct[0]
+    keys = family.keys
     out = []
     for g, (s, need, _) in enumerate(groups):
         if need and variant.small(caps[s], need, den):
-            out.extend((v, g, a) for v, a in _cover_walk(crossings[s], need, u, num, den))
+            out.extend((v, g, a) for v, a in _cover_walk(keys[s], need, u, num, den))
     return out
 
 
@@ -304,20 +325,23 @@ def _first_batch(found, family, pool):
     as many distinct rows, and every other group's rows sort after them,
     so only those groups are expanded.  Heaps keep both batches, as most
     rows tie on slack at the cut-off (in round 1 every row's slack is
-    minus its demand).
+    minus its demand).  As 0 <= rank < len(rank), the integer
+    slack * len(rank) + rank orders as (slack, rank) does.
     """
     groups, rank, lead = family.groups, family.rank, family.group_rank
-    heads = heapq.nsmallest(SEPARATION_BATCH, found, key=lambda v: (v[0], lead[v[1]], v[2]))
-    rows = [(v, i, a) for v, g, a in heads for i in groups[g][2] if (i, a) not in pool]
-    return heapq.nsmallest(SEPARATION_BATCH, rows, key=lambda v: (v[0], rank[v[1]], v[2]))
+    size = len(rank)
+    heads = heapq.nsmallest(SEPARATION_BATCH, [(v * size + lead[g], a, v, g) for v, g, a in found])
+    rows = [(v * size + rank[i], a, v, i)
+            for _, a, v, g in heads for i in groups[g][2] if (i, a) not in pool]
+    return [(v, i, a) for _, a, v, i in heapq.nsmallest(SEPARATION_BATCH, rows)]
 
 
 def _constraint(family, den, caps, i, edge_set, clamp=True):
     """Family row i's KCConstraint with `edge_set` taken as bought, its
     cut of capacity caps[s] / den under uhat (see _scaled), s its slot."""
     rhs, coeffs = _row_terms(family, i, edge_set, clamp)
-    cut = family.cut(i, Fraction(caps[family.distinct[1][i]], den))
-    return KCConstraint(cut, edge_set, family.requirement[i], rhs, coeffs)
+    source = family, i, Fraction(caps[family.slot[i]], den)
+    return KCConstraint(source, edge_set, family.requirement[i], rhs, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +356,7 @@ class GoodCertificate:
     constraints: tuple
     slacks: tuple
     deviations: tuple
+    packed: int = 0  # the pool rows the simplex packed (RowStore.packed); not in the JSON
 
     def to_json(self):
         return json.dumps(
@@ -409,7 +434,11 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
 
     costs = [e.cost for e in instance.edges]
     pool = {}      # (row, edge_set) -> KCConstraint, in the order added
-    lp_rows = RowStore(instance.m)  # each pool row, dense, scaled and packed once
+    lp_rows = RowStore(instance.m)  # each pool row, dense; packed once unless implied
+    # A plain pool row implies a later one of its demand whose crossing holds its
+    # own.  plain[d]: the slots of the plain pool rows of demand d, as bits;
+    # first[d, s]: the first such row at slot s.
+    plain, first = {}, {}
     cap = 50 * max(1, instance.m) * instance.n
     rounds = 0
     x = [Fraction(0)] * instance.m
@@ -427,19 +456,26 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
             )
             invariant(all(s >= 0 for s in slacks), "a certificate row has negative slack")
             cert = GoodCertificate(
-                variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations)
+                variant, rounds, sol.cost(), sol.x, constraints, slacks, tuple(deviations),
+                lp_rows.packed,
             )
             return sol, cert
         new = _first_batch(found, family, pool)
         invariant(new, "separation reported violations but none were new")
-        batch = []
+        batch, implied = [], {}
         for _, i, edge_set in new:
             con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
-            dense = [0] * instance.m
-            for e, c in con.coefficients:
-                dense[e] = c
-            batch.append((dense, con.rhs))
-        lp_rows.extend(batch)
+            batch.append((con.dense(instance.m), con.rhs))
+            if not edge_set:
+                k, s, need = len(pool) - 1, family.slot[i], con.requirement
+                # The slots whose crossings cut an edge outside this one's.
+                outside = reduce(operator.or_, compress(family.bits, family.keys[s].translate(_FLIP)), 0)
+                inside = plain.get(need, 0) & ~outside
+                if inside:
+                    implied[k] = first[need, (inside & -inside).bit_length() - 1]
+                plain[need] = plain.get(need, 0) | 1 << s
+                first.setdefault((need, s), k)
+        lp_rows.extend(batch, implied)
     raise CapabilityError(f"cutting-plane loop passed its round cap 50 * m * n = {cap} rounds")
 
 
@@ -458,8 +494,7 @@ def verify_good(instance, solution, gamma=None):
     num, den, caps = _scaled(family, x)
     frozen = tuple(sorted(_frozen(variant, num, den)))
     short, covers = [], []
-    for i, (cap, need) in enumerate(zip(map(caps.__getitem__, family.distinct[1]),
-                                        family.requirement)):
+    for i, (cap, need) in enumerate(zip(map(caps.__getitem__, family.slot), family.requirement)):
         if cap < need * den:
             short.append(("requirement", _constraint(family, den, caps, i, ()).describe()))
         if need and variant.small(cap, need, den):

@@ -55,7 +55,6 @@ from .kclp import FractionalSolution, variant_for
 from .util import ceil_div, over_common_denominator
 
 NODE_BUDGET = 1_000_000  # of every search; see _search
-_BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +70,9 @@ def constraint_rows(instance):
     a row (B, need) is dropped when some other row (A, need') with A a
     subset of B and need' >= need implies it: whatever covers the kept
     rows covers every cut.  The work runs per distinct crossing of the
-    family.  Rows are taken by size, so a row meets every row inside it
+    family.  Rows are taken in the order of their crossings' keys (byte
+    e is 1 when the crossing cuts edge e), where a crossing inside
+    another has the smaller key.  So a row meets every row inside it
     first, and as implication is transitive a row is dropped exactly
     when a kept one implies it: each kept row marks the crossings that
     contain it, the AND of its edges' lanes, for its demand and every
@@ -79,24 +80,25 @@ def constraint_rows(instance):
     n <= 16 (10 for k-way).
     """
     family = cut_family(instance)
-    crossings, slot = family.distinct
-    largest = [0] * len(crossings)
-    for s, need in zip(slot, family.requirement):
+    keys = family.keys
+    largest = [0] * len(keys)
+    for s, need in zip(family.slot, family.requirement):
         if need > largest[s]:
             largest[s] = need
-    # Bit s of lanes[e] is set when distinct crossing s cuts edge e, so the
+    # Bit s of bits[e] is set when distinct crossing s cuts edge e, so the
     # AND of a crossing's lanes has the bits of the crossings containing it
     # (all of them for the empty crossing).
-    lanes = [int(b"0" + lane.translate(_BITS)[::-1], 2) for lane in family.lanes]
-    full = (1 << len(crossings)) - 1
+    lanes = family.bits
+    full = (1 << len(keys)) - 1
     implied = {d: 0 for d in set(largest) if d}  # d -> crossings holding a kept row of d or more
     kept = []
-    for s in sorted(range(len(crossings)), key=lambda s: len(crossings[s])):
-        key, need = crossings[s], largest[s]
+    for s in sorted(range(len(keys)), key=keys.__getitem__):
+        need = largest[s]
         if need and not implied[need] >> s & 1:
-            kept.append((key, need))
+            edges = family.edges_of(s, distinct=True)
+            kept.append((edges, need))
             within = full
-            for e in key:
+            for e in edges:
                 within &= lanes[e]
             for d in implied:
                 if d <= need:

@@ -32,16 +32,18 @@ when nonbasic, a stored row's value at D when basic):
 mu is nonzero only on the entering structural and on the basic
 structurals whose row is nonzero there, and a nonbasic surplus reads
 rate 0.  RowStore packs each column of A and of b into one integer with a
-w-bit field per row, so either sum, over all rows at once, is one sum of
-multiplier times packed column, read back with one to_bytes.  A field is
-exact while its sum stays below 2^(w-1) in absolute value: every field
-is bounded by (largest row sum |a| + |b|) times the largest
-|multiplier|, or times D for a value, since 0 <= x <= 1, and a bound
-reaching 2^(w-2) repacks the columns wider.  The rates are summed every
-iteration, the values only when a ratio test first needs them and again
-after a repack.  In between, the packed values V follow the packed falls
-F = -D.ds exactly: a bound flip (step 1) makes V - F, and a pivot (step
-lnum / lrate, to D') the Bareiss step (lrate V - lnum F) * D' // (D lrate).
+w-bit field per row, leaving out the rows an earlier row implies, whose
+surplus never leaves the basis (see RowStore).  Either sum, over all
+rows at once, is then one sum of multiplier times packed column, read
+back with one to_bytes.  A field is exact while its sum stays below
+2^(w-1) in absolute value: every field is bounded by (largest row sum
+|a| + |b|) times the largest |multiplier|, or times D for a value,
+since 0 <= x <= 1, and a bound reaching 2^(w-2) repacks the columns
+wider.  The rates are summed every iteration, the values only when a
+ratio test first needs them and again after a repack.  In between, the
+packed values V follow the packed falls F = -D.ds exactly: a bound flip
+(step 1) makes V - F, and a pivot (step lnum / lrate, to D') the
+Bareiss step (lrate V - lnum F) * D' // (D lrate).
 
 A pivot on element p in column q, with the pivot row P brought to D and
 negated when p < 0, maps each stored row T with f = T[q] nonzero to
@@ -62,6 +64,7 @@ updates it with the same formula and a bound flip by one column.
 from __future__ import annotations
 
 import sys
+from array import array
 from fractions import Fraction
 from itertools import compress
 
@@ -82,12 +85,19 @@ class RowStore:
     """Covering rows coeffs.x >= rhs over m variables, append-only.
 
     A row is scaled to integers, checked at x = 1 and packed once, when
-    added; len() and iteration give the rows as added, as (coeffs, rhs).
-    A row of the wrong width, or one that x = 1 does not satisfy, raises
-    ValueError, and none of the rows given is added.  A row whose scaled
-    integers repeat an earlier row's is not packed again: its surplus ties
-    with the earlier copy's in every ratio test and loses on index, so it
-    never leaves the basis and the pivots are those of the full list.
+    added; len() and iteration give the rows as added, as (coeffs, rhs),
+    and `packed` counts the rows packed.  A row of the wrong width, or
+    one that x = 1 does not satisfy, raises ValueError, and none of the
+    rows given is added.
+
+    A row B is kept but not packed when its scaled integers repeat an
+    earlier row's, or when extend() is told that an earlier row A implies
+    it: a_B >= a_A coefficientwise and b_B <= b_A, so s_B >= s_A at every
+    x >= 0.  Were B to block a step, A would block no later and win the
+    tie on its lower index.  With A nonbasic, entering, or basic at 0 and
+    not falling, B reaches 0 only where some x_j with a_Bj > a_Aj meets
+    its bound 0, and that structural wins the tie.  So B's surplus never
+    leaves the basis, and the pivots are those of the full list.
     """
 
     def __init__(self, m, rows=()):
@@ -105,16 +115,30 @@ class RowStore:
     def __iter__(self):
         return iter(self._rows)
 
-    def extend(self, rows):
-        rows, new = list(rows), {}  # the new distinct rows, first copies first
-        for coeffs, rhs in rows:
+    @property
+    def packed(self):
+        return len(self._ints)
+
+    def extend(self, rows, implied_by=None):
+        """Add `rows`.  `implied_by` maps the index (over every row added,
+        in order) of a new row to an earlier row that implies it; each
+        claim is checked exactly, and a false one raises ValueError."""
+        rows, new, implied_by = list(rows), {}, implied_by or {}  # new: the rows to pack
+        start = len(self._rows)
+        for k, (coeffs, rhs) in enumerate(rows, start):
             if len(coeffs) != self.m:
                 raise ValueError("row width does not match variable count")
             ints = tuple(over_common_denominator([*coeffs, rhs])[0])
             if sum(ints) < 2 * ints[-1]:
                 raise ValueError("row not satisfied at x = 1; constraint pool is inconsistent")
-            if ints not in self._seen:
+            if k not in implied_by and ints not in self._seen:
                 new[ints] = None
+        for k, j in implied_by.items():
+            if not 0 <= j < k < start + len(rows) or k < start:
+                raise ValueError(f"row {k} is not a new row after row {j}")
+            (a, b), (c, d) = rows[k - start], rows[j - start] if j >= start else self._rows[j]
+            if b > d or any(v < w for v, w in zip(a, c)):
+                raise ValueError(f"row {j} does not imply row {k}")
         self._rows += rows
         self._seen.update(new)
         self._ints += new
@@ -124,7 +148,11 @@ class RowStore:
         else:
             shift, bias = self.width * (len(self._ints) - len(new)), _biased([0] * len(new), self.width)
             for j, column in enumerate(zip(*new)):
-                self._columns[j] += (_biased(column, self.width) - bias) << shift
+                if self.width == 64 and min(column) >= 0 and sys.byteorder == "little":
+                    packed = int.from_bytes(array("Q", column), "little")  # one unsigned field each
+                else:
+                    packed = _biased(column, self.width) - bias
+                self._columns[j] += packed << shift
             self._bias += bias << shift
 
     def _repack(self, bound):

@@ -275,7 +275,7 @@ def test_bench_json_format(capsys):
 def test_verify_passes_the_builtin_checks(capsys):
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 16
     assert all(l.startswith("ok  ") for l in lines)
     detail = dict(l[5:].split(": ", 1) for l in lines)
     assert detail["triangle-gap-R2"] == (
@@ -285,6 +285,8 @@ def test_verify_passes_the_builtin_checks(capsys):
     assert detail["multicopy-ratios"] == (
         "40 instances, forest/oracle mean 98641/97240 max 13/11, "
         "forest/baseline max 14/13, oracle above either on 0")
+    assert detail["implied-rows-anchor"] == (
+        "235 of 435 pool rows packed, every row packed gives the same x and cost 38")
 
 
 def test_verify_fails_an_oracle_above_the_forest(capsys, monkeypatch):
@@ -374,7 +376,7 @@ def test_invariants_survive_python_O():
                             capture_output=True, text=True, timeout=300, env=env)
     assert verify.returncode == 0, verify.stderr
     lines = verify.stdout.splitlines()
-    assert len(lines) == 15 and all(l.startswith("ok  ") for l in lines)
+    assert len(lines) == 16 and all(l.startswith("ok  ") for l in lines)
 
 
 def test_exact_subset_and_copy_documents(tmp_path, capsys):

@@ -272,9 +272,12 @@ def test_cut_family_distinct_view_sums_each_row(sizes, directed):
     base = gen_random("kway" if sizes else "pairs", n=6, m=9, seed=8, levels=2, pairs=2)
     inst = Instance(7, base.edges, base.requirements, directed=directed)
     family = CutFamily(inst, sizes)
-    crossings, slot = family.distinct
+    keys, slot = family.keys, family.slot
+    crossings = [family.edges_of(s, distinct=True) for s in range(len(keys))]
     assert len(set(crossings)) == len(crossings) < len(family.crossing)
     assert [crossings[s] for s in slot] == list(family.crossing)
+    assert [family.edges_of(i) for i in range(len(slot))] == list(family.crossing)
+    assert keys == tuple(bytes(e in c for e in range(inst.m)) for c in crossings)
     rng = random.Random(3)
     for _ in range(5):
         w = [Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(inst.m)]
@@ -297,7 +300,7 @@ def test_crossing_sums_through_slot_are_the_row_capacities(sizes, directed):
     base = gen_random("kway" if sizes else "pairs", n=6, m=9, seed=9, levels=2, pairs=2)
     inst = Instance(7, base.edges, base.requirements, directed=directed)
     family = CutFamily(inst, sizes)
-    crossings, slot = family.distinct
+    keys, slot = family.keys, family.slot
     rng = random.Random(11)
     top = [0] * (inst.m - 1)
     weightings = [
@@ -311,7 +314,7 @@ def test_crossing_sums_through_slot_are_the_row_capacities(sizes, directed):
     for w in weightings:
         nums, den = over_common_denominator(w)
         sums = family.crossing_sums(nums)
-        assert len(sums) == len(crossings)
+        assert len(sums) == len(keys)
         assert [sums[s] for s in slot] == [sum(nums[e] for e in c) for c in family.crossing]
         assert family.capacities(w) == ([sums[s] for s in slot], den)
 
@@ -336,7 +339,9 @@ def test_cut_family_matches_the_row_by_row_reference(index):
     assert list(family.shapes) == ref.shapes
     assert list(family.crossing) == ref.crossing
     assert list(family.requirement) == ref.requirement
-    assert list(family.distinct[0]) == ref.crossings and family.distinct[1] == ref.slot
+    assert [family.edges_of(s, distinct=True) for s in range(len(family.keys))] == ref.crossings
+    assert family.slot == ref.slot
+    assert [family.edges_of(i) for i in range(len(ref.slot))] == ref.crossing
     assert family.groups == ref.groups
     assert list(family.rank) == ref.rank
     rng = random.Random(index)

@@ -33,6 +33,7 @@ from capnet.oracle import (
     gen_triangle_gap,
 )
 from capnet.rounding import round_solution
+from capnet.simplex import solve_box_covering_lp
 from capnet.util import log2_fixed, over_common_denominator
 
 from conftest import brute_feasible, fractional_capacity
@@ -292,6 +293,27 @@ def test_certificates_over_a_sweep_are_pinned():
     assert digest.hexdigest() == _PINNED_SWEEP_DIGEST
 
 
+def test_anchor_pool_packs_only_the_rows_no_earlier_row_implies(monkeypatch):
+    # The benchmark's anchor: 435 pool rows, of which the simplex packs
+    # the 235 that no earlier pool row implies (repeats included).
+    stores = []
+
+    def recording(costs, rows):
+        stores.append(rows)
+        return solve_box_covering_lp(costs, rows)
+
+    monkeypatch.setattr(kclp, "solve_box_covering_lp", recording)
+    inst = gen_random("uniform", 12, 24, 7)
+    sol, cert = solve_good(inst)
+    store = stores[-1]
+    assert all(s is store for s in stores) and len(stores) == cert.rounds - 1
+    assert (len(cert.constraints), len(store), store.packed, cert.packed) == (435, 435, 235, 235)
+    rows = [(c.dense(inst.m), c.rhs) for c in cert.constraints]
+    assert list(store) == rows
+    # With every row packed the simplex returns the same vertex.
+    assert solve_box_covering_lp([e.cost for e in inst.edges], rows) == (list(sol.x), cert.cost)
+
+
 def test_certificate_json_shape():
     inst = gen_triangle_gap(10, 100)
     _, cert = solve_good(inst, seed=0)
@@ -509,10 +531,12 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
     family, variant = cut_family(inst), variant_for(inst)
     num, den, caps = kclp._scaled(family, sol.x)  # caps per distinct crossing
     small = [
-        (family.crossing[i], need)
-        for i, (s, need) in enumerate(zip(family.distinct[1], family.requirement))
+        (family.keys[s], need)
+        for s, need in zip(family.slot, family.requirement)
         if need and variant.small(caps[s], need, den)
     ]
+    assert all(bytes(e in family.crossing[i] for e in range(inst.m)) == family.keys[s]
+               for i, s in enumerate(family.slot))
     assert sorted(rounds[-1]) == sorted(set(small))
     assert len(rounds[-1]) < len(small)
 

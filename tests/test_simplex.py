@@ -407,3 +407,90 @@ def test_store_extended_across_calls_matches_a_fresh_list():
         assert solve_box_covering_lp(costs, store) == solve_box_covering_lp(costs, given)
         assert solve_box_covering_lp(costs, given) == _reference_solve(costs, given)
     assert len(store._ints) == len(rows) - 2  # the scaled copy is a row of its own
+
+
+def _implies(earlier, later):
+    """Does the row `earlier` imply `later`: coefficientwise no larger, at
+    no smaller rhs?"""
+    (a, b), (c, d) = earlier, later
+    return d <= b and all(v >= w for v, w in zip(c, a))
+
+
+def _implied_pool(rng):
+    """(costs, rows, batches, claims): a sparse covering pool over 3-8
+    columns, split into extend batches, where about half the rows copy an
+    earlier row or raise some of its coefficients (its support may grow)
+    at the same or a lower rhs.  claims maps each such row to the row it
+    was made from, which often sits earlier in the same batch."""
+    m = rng.randint(3, 8)
+    costs = [Fraction(rng.randint(0, 9), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+    rows, claims = [], {}
+    for k in range(rng.randint(8, 30)):
+        if rows and rng.random() < 0.5:
+            j = rng.randrange(max(0, k - 4), k) if rng.random() < 0.5 else rng.randrange(k)
+            a, b = rows[j]
+            if rng.random() < 0.3:
+                coeffs, rhs = list(a), b
+            else:
+                coeffs = [v + rng.choice((0, 0, 1, 3)) if v or rng.random() < 0.3 else v for v in a]
+                rhs = b if rng.random() < 0.5 else rng.randint(0, b)
+            claims[k] = j
+        else:
+            coeffs = [0] * m
+            for e in rng.sample(range(m), rng.randint(1, min(3, m))):
+                coeffs[e] = rng.randint(1, 9)
+            rhs = rng.randint(1, sum(coeffs))
+        rows.append((coeffs, rhs))
+    cuts = sorted(rng.sample(range(1, len(rows)), 3))
+    batches = [(a, rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    return costs, rows, batches, claims
+
+
+def test_implied_rows_are_kept_but_not_packed():
+    rng = random.Random(31)
+    nested = same_batch = refused = 0
+    for _ in range(80):
+        costs, rows, batches, claims = _implied_pool(rng)
+        full, lean = RowStore(len(costs)), RowStore(len(costs))
+        for start, batch in batches:
+            given = {k: j for k, j in claims.items() if start <= k < start + len(batch)}
+            # A claim that names a row that does not imply it, or a later
+            # row, is refused, and nothing of the batch is added.
+            for k in given:
+                wrong = [j for j in range(start + len(batch)) if j != k and (
+                    j > k or not _implies(rows[j], rows[k]))]
+                if wrong:
+                    with pytest.raises(ValueError):
+                        lean.extend(batch, {**given, k: rng.choice(wrong)})
+                    assert len(lean) == start and list(lean) == rows[:start]
+                    refused += 1
+                    break
+            full.extend(batch)
+            lean.extend(batch, given)
+            nested += sum(rows[k] != rows[j] for k, j in given.items())
+            same_batch += sum(j >= start for j in given.values())
+            assert list(lean) == list(full) == rows[:start + len(batch)]
+            assert solve_box_covering_lp(costs, lean) == solve_box_covering_lp(costs, full)
+        kept = {(*c, r) for k, (c, r) in enumerate(rows) if k not in claims}
+        assert (len(lean), lean.packed, full.packed) == (
+            len(rows), len(kept), len({(*c, r) for c, r in rows}))
+        assert solve_box_covering_lp(costs, lean) == _reference_solve(costs, rows)
+    assert min(nested, same_batch, refused) >= 100
+
+
+def test_false_implied_claims_raise_and_add_nothing():
+    first = [([1, 2, 0], 2), ([0, 1, 1], 1)]
+    store = RowStore(3, first)
+    for rows, claims in (
+        ([([1, 2, 1], 3)], {2: 0}),                  # a larger rhs
+        ([([1, 1, 5], 1)], {2: 0}),                  # a smaller coefficient
+        ([([1, 2, 0], 2), ([1, 2, 0], 2)], {2: 3}),  # a later row
+        ([([1, 2, 0], 2)], {2: 2}),                  # the row itself
+        ([([1, 2, 0], 2)], {1: 0}),                  # a row added before
+        ([([1, 2, 0], 2)], {3: 0}),                  # a row not given
+    ):
+        with pytest.raises(ValueError):
+            store.extend(rows, claims)
+        assert (list(store), store.packed) == (first, 2)
+    store.extend([([1, 2, 1], 2), ([1, 3, 1], 1)], {2: 0, 3: 2})
+    assert (len(store), store.packed) == (4, 2)
