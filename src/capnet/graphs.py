@@ -228,17 +228,15 @@ def _blocks_requirement(req, blocks):
 
 
 _NONZERO = bytes([0]) + bytes([1]) * 255  # translate table: byte b -> (b != 0)
-_BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
 
 
 # Bounded: the benchmark and a test run meet a handful of keys, and a
 # table holds every row's shape and rank (about 4 MB at n = 16).
 @functools.lru_cache(maxsize=8)
 def _shape_table(n, sizes, directed):
-    """(shapes, blocks, rank, order, columns) shared by every CutFamily
-    of this key: the row shapes, (block count, rows) per level, the rows'
-    `rank`, the rows in rank order, and each vertex's column, byte i
-    holding its block in row i."""
+    """(shapes, blocks, rank, columns) shared by every CutFamily of this
+    key: the row shapes, (block count, rows) per level, the rows' `rank`
+    and each vertex's column, byte i holding its block in row i."""
     if directed:
         shapes = [bytes(mask >> v & 1 for v in range(n)) for mask in range(1, (1 << n) - 1)]
         blocks = ((2, len(shapes)),)
@@ -255,19 +253,18 @@ def _shape_table(n, sizes, directed):
                 for a in shapes]
     else:
         keys = [a.translate(tables[1]).rstrip(b"\2") for a in shapes]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
     rank = [0] * len(keys)
-    for position, i in enumerate(order):
+    for position, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         rank[i] = position
     blob = b"".join(shapes)
-    return tuple(shapes), blocks, tuple(rank), tuple(order), tuple(blob[u::n] for u in range(n))
+    return tuple(shapes), blocks, tuple(rank), tuple(blob[u::n] for u in range(n))
 
 
 class CutFamily:
     """Every canonical cut of an instance, enumerated once.
 
     Row i is `shapes[i]` (a vertex -> block assignment, one byte per
-    vertex; block 1 is a directed cut's source side), `crossing[i]` (the
+    vertex; block 1 is a directed cut's source side), `edges_of(i)` (the
     ascending indices of the edges it cuts) and `requirement[i]`: R, the
     bound of its block count (none past the last level), or the largest
     demand whose pair it separates.  With `sizes` None the rows are the
@@ -279,19 +276,18 @@ class CutFamily:
     Cut), as ascending vertex tuples.  Scans filter the rows by their
     `capacities` and build cuts only for the rows they keep.
 
-    `shapes`, `rank` and `order` (the rows by rank) come from a bounded
-    cache shared by every family with the same n, block counts and
-    `directed`.  Each edge's crossing lane over the rows comes from the
-    byte columns of its two ends.  `keys` lists each distinct crossing
-    once, as m bytes with byte e 1 when it cuts edge e, and `slot[i]` is
-    row i's crossing in that list.  Edge tuples are built only when read:
-    `edges_of` builds one, of a row or of a distinct crossing, and
-    `crossing` every row's on first use.  `groups` lists each
-    (crossing, requirement) pair once.  Work that depends on the crossing
-    alone runs once per distinct crossing: `lanes[e]` has a byte per
-    distinct crossing, 1 where it cuts edge e, `bits[e]` is the same lane
-    as a bitmask, and `crossing_sums` sums a weighting over each distinct
-    crossing, which `capacities` reads per row through `slot`.
+    `shapes` and `rank` come from a bounded cache shared by every family
+    with the same n, block counts and `directed`.  Each edge's crossing
+    lane over the rows comes from the byte columns of its two ends.
+    `keys` lists each distinct crossing once, as m bytes with byte e 1
+    when it cuts edge e, and `slot[i]` is row i's crossing in that list.
+    Edge tuples are built only when read: `edges_of` builds one, of a
+    row or of a distinct crossing.  `groups` lists each (crossing,
+    requirement) pair once.  Work that depends on the crossing alone runs
+    once per distinct crossing: `lanes[e]` has a byte per distinct
+    crossing, 1 where it cuts edge e, and `crossing_sums` sums a
+    weighting over each distinct crossing, which `capacities` reads per
+    row through `slot`.
     """
 
     def __init__(self, instance, sizes=None):
@@ -301,7 +297,7 @@ class CutFamily:
         if n > limit:
             raise CapabilityError(f"cuts are enumerated exhaustively; capped at n = {limit}, got {n}")
         self.instance = instance
-        self.shapes, blocks, self.rank, self.order, columns = _shape_table(
+        self.shapes, blocks, self.rank, columns = _shape_table(
             n, None if sizes is None else tuple(sizes), directed)
         rows = len(self.shapes)
         if directed:  # an arc crosses from the source side (block 1) out
@@ -363,36 +359,14 @@ class CutFamily:
         return tuple(itertools.compress(range(self.instance.m), key))
 
     @functools.cached_property
-    def crossing(self):
-        """crossing[i] = edges_of(i) for every row i, built on first use."""
-        crossings = [self.edges_of(s, distinct=True) for s in range(len(self.keys))]
-        return tuple(map(crossings.__getitem__, self.slot))
-
-    @functools.cached_property
-    def bits(self):
-        """bits[e]: bit s is set when distinct crossing s cuts edge e."""
-        return [int(b"0" + lane.translate(_BITS)[::-1], 2) for lane in self.lanes]
-
-    @functools.cached_property
     def groups(self):
         """The rows grouped by crossing and requirement: one
         (slot, requirement, rows) per distinct pair, in the order of its
-        first row, with `rows` ascending.  Built on first use, with
-        `_group[i]`, the group of row i."""
+        first row, with `rows` ascending.  Built on first use."""
         index = {}
-        self._group = [index.setdefault(key, len(index)) for key in zip(self.slot, self.requirement)]
-        rows = [[] for _ in index]
-        for i, g in enumerate(self._group):
-            rows[g].append(i)
-        return [(s, need, r) for (s, need), r in zip(index, rows)]
-
-    @functools.cached_property
-    def group_rank(self):
-        """group_rank[g]: the least `rank` among the rows of groups[g]."""
-        groups, rows = self.groups, len(self.order)
-        # Rows by falling rank: each group keeps the last, least rank written.
-        least = dict(zip(map(self._group.__getitem__, reversed(self.order)), reversed(range(rows))))
-        return list(map(least.__getitem__, range(len(groups))))
+        for i, key in enumerate(zip(self.slot, self.requirement)):
+            index.setdefault(key, []).append(i)
+        return [(s, need, rows) for (s, need), rows in index.items()]
 
     def cut(self, i, capacity):
         """Row i as a KWayCut (partition rows) or a Cut, with the

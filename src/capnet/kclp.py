@@ -27,9 +27,11 @@ vertices are those of an exact rational scan.  A violated row stays a
 family row index until it enters the pool; only then are its cover
 terms built, and its Cut or KWayCut only when the certificate is
 written.  Fractions appear only there and in the certificate slacks,
-each its integer slack over D.  A plain pool row whose crossing holds
-an earlier plain pool row's of its demand is implied by it, and the
-simplex does not pack it (simplex.RowStore).
+each its integer slack over D.  A plain row whose crossing holds the
+crossing of an earlier plain row of its batch and demand is implied by
+it, and the simplex does not pack it (simplex.RowStore).  No row of an
+earlier round can imply one: x meets every pool row, and a row an
+earlier one implies has at least its slack, so it would not be violated.
 
 For step 2 each cut is tested against a nested family of candidate A
 sets: the prefixes of its crossing edges ordered by decreasing x, cut
@@ -37,12 +39,11 @@ only between distinct x values.  The nearly-integral set is among them,
 as {e : x_e >= t} on the crossing is such a prefix or empty.  Rows that
 share their crossing edges and demand get the same tests, so the scan
 tests each distinct pair (CutFamily.groups) once per round and reports
-pairs; only the groups whose least row can make the round's batch are
-expanded to rows (_first_batch).  The loop stops when nothing is
-violated, which certifies the two exit conditions the rounding step
-relies on: the scaled capacities cover every requirement, and
-knapsack-cover holds on every small cut for the nearly-integral edge
-set.
+pairs, which _first_batch expands to rows for the round's batch.  The
+loop stops when nothing is violated, which certifies the two exit
+conditions the rounding step relies on: the scaled capacities cover
+every requirement, and knapsack-cover holds on every small cut for the
+nearly-integral edge set.
 
 An edge counts as nearly integral when x_e >= 1 / (40 lg n) for the
 uniform variant, 1 / (40 k lg n) for the k-way variant, and
@@ -56,10 +57,8 @@ from __future__ import annotations
 
 import heapq
 import json
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import compress
 
 from .errors import CapabilityError, InfeasibleError, invariant
@@ -75,7 +74,6 @@ from .simplex import RowStore, solve_box_covering_lp
 from .util import format_rational, log2_fixed, over_common_denominator
 
 SEPARATION_BATCH = 40
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # a crossing key's complement
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +311,20 @@ def _violations(family, variant, num, den, caps, kc):
     return out
 
 
-def _first_batch(found, family, pool):
+def _first_batch(found, family):
     """The first SEPARATION_BATCH rows of the groups in `found` (see
     _violations), as (slack, row, edge_set) triples ordered by slack,
-    then rank[row], then edge_set.  Rows in `pool` are left out: x
-    satisfies every pool row, so none is ever found.
+    then rank[row], then edge_set.
 
     Every slack is over the same den, so they order as the slacks
-    themselves do.  A group's least row by that key is its head, keyed
-    (slack, group_rank, edge_set).  The SEPARATION_BATCH least heads are
-    as many distinct rows, and every other group's rows sort after them,
-    so only those groups are expanded.  Heaps keep both batches, as most
-    rows tie on slack at the cut-off (in round 1 every row's slack is
-    minus its demand).  As 0 <= rank < len(rank), the integer
-    slack * len(rank) + rank orders as (slack, rank) does.
+    themselves do, and as 0 <= rank < len(rank), the integer
+    slack * len(rank) + rank orders as (slack, rank) does.  A heap keeps
+    the batch, as most rows tie on slack at the cut-off (in round 1
+    every row's slack is minus its demand).
     """
-    groups, rank, lead = family.groups, family.rank, family.group_rank
+    groups, rank = family.groups, family.rank
     size = len(rank)
-    heads = heapq.nsmallest(SEPARATION_BATCH, [(v * size + lead[g], a, v, g) for v, g, a in found])
-    rows = [(v * size + rank[i], a, v, i)
-            for _, a, v, g in heads for i in groups[g][2] if (i, a) not in pool]
+    rows = [(v * size + rank[i], a, v, i) for v, g, a in found for i in groups[g][2]]
     return [(v, i, a) for _, a, v, i in heapq.nsmallest(SEPARATION_BATCH, rows)]
 
 
@@ -435,10 +427,6 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
     costs = [e.cost for e in instance.edges]
     pool = {}      # (row, edge_set) -> KCConstraint, in the order added
     lp_rows = RowStore(instance.m)  # each pool row, dense; packed once unless implied
-    # A plain pool row implies a later one of its demand whose crossing holds its
-    # own.  plain[d]: the slots of the plain pool rows of demand d, as bits;
-    # first[d, s]: the first such row at slot s.
-    plain, first = {}, {}
     cap = 50 * max(1, instance.m) * instance.n
     rounds = 0
     x = [Fraction(0)] * instance.m
@@ -460,21 +448,19 @@ def solve_good(instance, gamma=None, seed=0, kc=True):
                 lp_rows.packed,
             )
             return sol, cert
-        new = _first_batch(found, family, pool)
-        invariant(new, "separation reported violations but none were new")
-        batch, implied = [], {}
-        for _, i, edge_set in new:
+        # A plain row implies a later one of its batch and demand whose crossing
+        # holds its own.  plain: (position, demand, crossing key as bits) of each.
+        batch, implied, plain = [], {}, []
+        for k, (_, i, edge_set) in enumerate(_first_batch(found, family)):
+            invariant((i, edge_set) not in pool, "separation reported violations but none were new")
             con = pool[i, edge_set] = _constraint(family, den, caps, i, edge_set, kc)
             batch.append((con.dense(instance.m), con.rhs))
             if not edge_set:
-                k, s, need = len(pool) - 1, family.slot[i], con.requirement
-                # The slots whose crossings cut an edge outside this one's.
-                outside = reduce(operator.or_, compress(family.bits, family.keys[s].translate(_FLIP)), 0)
-                inside = plain.get(need, 0) & ~outside
+                key = int.from_bytes(family.keys[family.slot[i]], "big")
+                inside = [j for j, need, c in plain if need == con.requirement and not c & ~key]
                 if inside:
-                    implied[k] = first[need, (inside & -inside).bit_length() - 1]
-                plain[need] = plain.get(need, 0) | 1 << s
-                first.setdefault((need, s), k)
+                    implied[k] = inside[0]
+                plain.append((k, con.requirement, key))
         lp_rows.extend(batch, implied)
     raise CapabilityError(f"cutting-plane loop passed its round cap 50 * m * n = {cap} rounds")
 

@@ -45,6 +45,7 @@ from .graphs import (
     KWay,
     Pairs,
     Uniform,
+    _is_int,
     capacity_weighting,
     cut_family,
     instance_to_dict,
@@ -55,6 +56,7 @@ from .kclp import FractionalSolution, variant_for
 from .util import ceil_div, over_common_denominator
 
 NODE_BUDGET = 1_000_000  # of every search; see _search
+_BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,10 @@ def constraint_rows(instance):
     for s, need in zip(family.slot, family.requirement):
         if need > largest[s]:
             largest[s] = need
-    # Bit s of bits[e] is set when distinct crossing s cuts edge e, so the
+    # Bit s of lanes[e] is set when distinct crossing s cuts edge e, so the
     # AND of a crossing's lanes has the bits of the crossings containing it
     # (all of them for the empty crossing).
-    lanes = family.bits
+    lanes = [int(b"0" + lane.translate(_BITS)[::-1], 2) for lane in family.lanes]
     full = (1 << len(keys)) - 1
     implied = {d: 0 for d in set(largest) if d}  # d -> crossings holding a kept row of d or more
     kept = []
@@ -370,24 +372,24 @@ class LabelCoverInstance:
     def __post_init__(self):
         for fld in ("a_count", "b_count", "degree_a", "degree_b", "labels_a", "labels_b"):
             v = getattr(self, fld)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise InstanceFormatError(fld, "must be a positive integer")
         rels = []
         deg_a = [0] * self.a_count
         deg_b = [0] * self.b_count
         for i, entry in enumerate(self.relations):
             a, b, pairs = entry
-            if not (isinstance(a, int) and 0 <= a < self.a_count):
+            if not (_is_int(a) and 0 <= a < self.a_count):
                 raise InstanceFormatError(f"pi[{i}]", f"A-vertex {a!r} out of range")
-            if not (isinstance(b, int) and 0 <= b < self.b_count):
+            if not (_is_int(b) and 0 <= b < self.b_count):
                 raise InstanceFormatError(f"pi[{i}]", f"B-vertex {b!r} out of range")
             deg_a[a] += 1
             deg_b[b] += 1
             seen = []
             for la, lb in pairs:
-                if not (isinstance(la, int) and 0 <= la < self.labels_a):
+                if not (_is_int(la) and 0 <= la < self.labels_a):
                     raise InstanceFormatError(f"pi[{i}]", f"A-label {la!r} out of range")
-                if not (isinstance(lb, int) and 0 <= lb < self.labels_b):
+                if not (_is_int(lb) and 0 <= lb < self.labels_b):
                     raise InstanceFormatError(f"pi[{i}]", f"B-label {lb!r} out of range")
                 seen.append((la, lb))
             rels.append((a, b, tuple(sorted(set(seen)))))
@@ -403,9 +405,9 @@ class LabelCoverInstance:
             la, lb = tuple(la), tuple(lb)
             if len(la) != self.a_count or len(lb) != self.b_count:
                 raise InstanceFormatError("phi", "labeling must cover every vertex")
-            if any(not (isinstance(v, int) and 0 <= v < self.labels_a) for v in la):
+            if any(not (_is_int(v) and 0 <= v < self.labels_a) for v in la):
                 raise InstanceFormatError("phi", "A-side label out of range")
-            if any(not (isinstance(v, int) and 0 <= v < self.labels_b) for v in lb):
+            if any(not (_is_int(v) and 0 <= v < self.labels_b) for v in lb):
                 raise InstanceFormatError("phi", "B-side label out of range")
             object.__setattr__(self, "labeling", (la, lb))
 
@@ -447,13 +449,14 @@ def label_cover_from_dict(data):
         raise InstanceFormatError("pi", "must be a list")
     rels = []
     for i, entry in enumerate(pi):
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)
+                and all(isinstance(p, list) and len(p) == 2 for p in entry[2])):
             raise InstanceFormatError(f"pi[{i}]", "entries are [a, b, [[la, lb], ...]]")
         a, b, pairs = entry
-        rels.append((a, b, tuple((la, lb) for la, lb in pairs)))
+        rels.append((a, b, tuple(map(tuple, pairs))))
     phi = data.get("phi")
     if phi is not None:
-        if not (isinstance(phi, list) and len(phi) == 2):
+        if not (isinstance(phi, list) and len(phi) == 2 and all(isinstance(p, list) for p in phi)):
             raise InstanceFormatError("phi", "labeling is [[A labels], [B labels]]")
         phi = (tuple(phi[0]), tuple(phi[1]))
     return LabelCoverInstance(

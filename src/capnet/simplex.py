@@ -91,13 +91,16 @@ class RowStore:
     rows given is added.
 
     A row B is kept but not packed when its scaled integers repeat an
-    earlier row's, or when extend() is told that an earlier row A implies
-    it: a_B >= a_A coefficientwise and b_B <= b_A, so s_B >= s_A at every
-    x >= 0.  Were B to block a step, A would block no later and win the
-    tie on its lower index.  With A nonbasic, entering, or basic at 0 and
-    not falling, B reaches 0 only where some x_j with a_Bj > a_Aj meets
-    its bound 0, and that structural wins the tie.  So B's surplus never
-    leaves the basis, and the pivots are those of the full list.
+    earlier row's, or when extend() is told that an earlier row A of the
+    same call implies it: a_B >= a_A coefficientwise and b_B <= b_A, so
+    s_B >= s_A at every x >= 0.  Were B to block a step, A would block no
+    later and win the tie on its lower index.  With A nonbasic, entering,
+    or basic at 0 and not falling, B reaches 0 only where some x_j with
+    a_Bj > a_Aj meets its bound 0, and that structural wins the tie.  So
+    B's surplus never leaves the basis, and the pivots are those of the
+    full list.  A cutting-plane caller loses nothing by claiming only
+    within a call: it adds rows violated at an x that meets every earlier
+    row, and s_B >= s_A >= 0 would leave B satisfied there.
     """
 
     def __init__(self, m, rows=()):
@@ -120,12 +123,11 @@ class RowStore:
         return len(self._ints)
 
     def extend(self, rows, implied_by=None):
-        """Add `rows`.  `implied_by` maps the index (over every row added,
-        in order) of a new row to an earlier row that implies it; each
+        """Add `rows`.  `implied_by` maps the position in `rows` of a row
+        to the position of an earlier row of `rows` that implies it; each
         claim is checked exactly, and a false one raises ValueError."""
         rows, new, implied_by = list(rows), {}, implied_by or {}  # new: the rows to pack
-        start = len(self._rows)
-        for k, (coeffs, rhs) in enumerate(rows, start):
+        for k, (coeffs, rhs) in enumerate(rows):
             if len(coeffs) != self.m:
                 raise ValueError("row width does not match variable count")
             ints = tuple(over_common_denominator([*coeffs, rhs])[0])
@@ -134,9 +136,9 @@ class RowStore:
             if k not in implied_by and ints not in self._seen:
                 new[ints] = None
         for k, j in implied_by.items():
-            if not 0 <= j < k < start + len(rows) or k < start:
-                raise ValueError(f"row {k} is not a new row after row {j}")
-            (a, b), (c, d) = rows[k - start], rows[j - start] if j >= start else self._rows[j]
+            if not 0 <= j < k < len(rows):
+                raise ValueError(f"row {k} of the call is not a given row after row {j}")
+            (a, b), (c, d) = rows[k], rows[j]
             if b > d or any(v < w for v, w in zip(a, c)):
                 raise ValueError(f"row {j} does not imply row {k}")
         self._rows += rows

@@ -87,6 +87,11 @@ def fractional_capacity(instance, x):
     return tuple(e.capacity * Fraction(x[i]) for i, e in enumerate(instance.edges))
 
 
+def row_crossings(family):
+    """Every row's crossing edge tuple, read through CutFamily.edges_of."""
+    return [family.edges_of(i) for i in range(len(family.slot))]
+
+
 class _reference_family:
     """CutFamily built row by row: a tuple of crossing edges per shape, a
     max over the pairs per row, a sort on each row's parts as vertex

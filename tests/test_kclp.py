@@ -33,10 +33,10 @@ from capnet.oracle import (
     gen_triangle_gap,
 )
 from capnet.rounding import round_solution
-from capnet.simplex import solve_box_covering_lp
+from capnet.simplex import RowStore, solve_box_covering_lp
 from capnet.util import log2_fixed, over_common_denominator
 
-from conftest import brute_feasible, fractional_capacity
+from conftest import _reference_family, brute_feasible, fractional_capacity, row_crossings
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_cut_requirement_by_variant(square_pairs):
 def test_residual_requirement_clamps_at_zero(triangle_rigid):
     family = cut_family(triangle_rigid)
     row = _row(family, {2})  # crossing edges 1, 2
-    assert family.crossing[row] == (1, 2)
+    assert family.edges_of(row) == (1, 2)
     assert kclp._row_terms(family, row, ())[0] == 5
     assert kclp._row_terms(family, row, (1,))[0] == 1
     assert kclp._row_terms(family, row, (2,))[0] == 0
@@ -144,7 +144,7 @@ def test_kc_rows_hold_for_every_feasible_subset():
             mask = rng.randrange(1, 1 << (inst.n - 1))
             side = {v for v in range(1, inst.n) if mask >> (v - 1) & 1}
             row = _row(family, side)
-            aset = tuple(e for e in family.crossing[row] if rng.random() < 0.4)
+            aset = tuple(e for e in family.edges_of(row) if rng.random() < 0.4)
             terms = kclp._row_terms(family, row, aset)
             for chosen in feasible:
                 x = [1 if e in chosen else 0 for e in range(inst.m)]
@@ -314,6 +314,50 @@ def test_anchor_pool_packs_only_the_rows_no_earlier_row_implies(monkeypatch):
     assert solve_box_covering_lp([e.cost for e in inst.edges], rows) == (list(sol.x), cert.cost)
 
 
+def test_no_plain_row_holds_an_earlier_batchs_plain_row(monkeypatch):
+    # solve_good claims implied rows only within a batch: x meets every
+    # earlier pool row, so no violated plain row can hold the crossing of
+    # an earlier batch's plain row of its demand.  Checked by brute force
+    # on the crossings from the row shapes, batch by batch.
+    sizes = []
+    extend = RowStore.extend
+
+    def recording(self, rows, implied_by=None):
+        rows = list(rows)
+        if rows:
+            sizes.append(len(rows))
+        return extend(self, rows, implied_by)
+
+    monkeypatch.setattr(RowStore, "extend", recording)
+    solves = within = 0
+    for inst in _solve_sweep():
+        for kc in (True, False):
+            sizes.clear()
+            try:
+                _, cert = solve_good(inst, kc=kc)
+            except (InfeasibleError, CapabilityError):
+                continue
+            solves += 1
+            assert sum(sizes) == len(cert.constraints)
+            edges, earlier, k = inst.edges, [], 0
+            for size in sizes:
+                batch = []
+                for con in cert.constraints[k:k + size]:
+                    if not con.edge_set:
+                        family, i, _ = con.source
+                        shape = family.shapes[i]
+                        crossing = {e for e, d in enumerate(edges) if shape[d.tail] != shape[d.head]}
+                        batch.append((con.requirement, crossing))
+                for need, crossing in batch:
+                    assert not any(d == need and c <= crossing for d, c in earlier)
+                # Inside a batch the same test finds the rows solve_good claims.
+                within += sum(d == need and c < crossing
+                              for j, (need, crossing) in enumerate(batch) for d, c in batch[:j])
+                earlier += batch
+                k += size
+    assert solves == 294 and within > 10_000  # the 294 solves that do not raise
+
+
 def test_certificate_json_shape():
     inst = gen_triangle_gap(10, 100)
     _, cert = solve_good(inst, seed=0)
@@ -407,7 +451,7 @@ def _ref_cover_row(family, i, edge_set, x, clamp=True):
 def _ref_violations(family, variant, x, kc):
     """The violation scan on Fractions, row capacities summed under uhat."""
     uhat = fractional_capacity(family.instance, x)
-    capacities = [sum((uhat[e] for e in c), Fraction(0)) for c in family.crossing]
+    capacities = [sum((uhat[e] for e in c), Fraction(0)) for c in row_crossings(family)]
     rows = list(zip(capacities, family.requirement))
     short = [
         _ref_cover_row(family, i, (), x, kc) for i, (cap, need) in enumerate(rows) if cap < need
@@ -418,7 +462,7 @@ def _ref_violations(family, variant, x, kc):
     out = []
     for i, (cap, need) in enumerate(rows):
         if need and cap <= (2 * need if bound is None else bound):
-            for cand in _ref_candidate_edge_sets(family.crossing[i], x, variant.threshold):
+            for cand in _ref_candidate_edge_sets(family.edges_of(i), x, variant.threshold):
                 v = _ref_cover_row(family, i, cand, x)
                 if v[0] < 0:
                     out.append(v)
@@ -535,7 +579,8 @@ def test_cover_walk_runs_once_per_distinct_row_per_round(monkeypatch):
         for s, need in zip(family.slot, family.requirement)
         if need and variant.small(caps[s], need, den)
     ]
-    assert all(bytes(e in family.crossing[i] for e in range(inst.m)) == family.keys[s]
+    crossing = _reference_family(inst, (2, 3)).crossing
+    assert all(bytes(e in crossing[i] for e in range(inst.m)) == family.keys[s]
                for i, s in enumerate(family.slot))
     assert sorted(rounds[-1]) == sorted(set(small))
     assert len(rounds[-1]) < len(small)
@@ -552,9 +597,8 @@ def test_first_batch_is_the_head_of_the_full_sort():
     inst = Instance(7, base.edges, base.requirements)
     family = CutFamily(inst, (2, 3))
     groups = family.groups
-    assert (len(family.crossing), len(groups)) == (364, 47)
+    assert (len(family.slot), len(groups)) == (364, 47)
     lead = [min(family.rank[i] for i in rows) for _, _, rows in groups]
-    assert family.group_rank == lead
     assert sum(family.rank[rows[0]] != r for (_, _, rows), r in zip(groups, lead)) >= 40
     rng = random.Random(40)
     batch = kclp.SEPARATION_BATCH
@@ -565,9 +609,7 @@ def test_first_batch_is_the_head_of_the_full_sort():
         rng.shuffle(found)
         rows = [(v, i, a) for v, g, a in found for i in groups[g][2]]
         expected = sorted(rows, key=lambda v: (v[0], family.rank[v[1]], v[2]))[:batch]
-        assert kclp._first_batch(found, family, {}) == expected
-    # Rows already in the pool are left out.
-    assert kclp._first_batch(found, family, {(i, a): None for _, i, a in rows}) == []
+        assert kclp._first_batch(found, family) == expected
 
 
 def test_capability_guards():

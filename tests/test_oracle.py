@@ -40,7 +40,7 @@ from capnet.kclp import solve_good, verify_good
 from capnet.rounding import round_solution
 from capnet.util import ceil_div
 
-from conftest import brute_copy_optimum, brute_subset_optimum
+from conftest import brute_copy_optimum, brute_subset_optimum, row_crossings
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def test_search_stops_at_its_node_budget():
 def _merged_rows(instance):
     rows = {}
     family = cut_family(instance)
-    for key, need in zip(family.crossing, family.requirement):
+    for key, need in zip(row_crossings(family), family.requirement):
         if need > rows.get(key, 0):
             rows[key] = need
     return tuple(sorted(rows.items()))
@@ -714,6 +714,30 @@ def test_label_cover_dict_round_trip():
         label_cover_from_dict({**small, "pi": "0 0"})
     with pytest.raises(InstanceFormatError, match="phi: labeling is"):
         label_cover_from_dict({**small, "phi": [[0]]})
+
+
+_SMALL_LABEL_COVER = {"A": 1, "B": 1, "dA": 1, "dB": 1, "LA": 2, "LB": 2, "pi": [[0, 0, [[0, 1]]]]}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"A": True}, "a_count"),
+    ({"LB": False}, "labels_b"),
+    ({"pi": [[False, 0, [[0, 1]]]]}, "pi[0]"),
+    ({"pi": [[0, True, [[0, 1]]]]}, "pi[0]"),
+    ({"pi": [[0, 0, [[True, 1]]]]}, "pi[0]"),
+    ({"pi": [[0, 0, [[0, False]]]]}, "pi[0]"),
+    ({"pi": [[0, 0, 5]]}, "pi[0]"),
+    ({"pi": [[0, 0, [[0]]]]}, "pi[0]"),
+    ({"pi": [[0, 0, [5]]]}, "pi[0]"),
+    ({"phi": [0, 0]}, "phi"),
+    ({"phi": [[True], [0]]}, "phi"),
+    ({"phi": [[0], [False]]}, "phi"),
+])
+def test_label_cover_json_rejects_booleans_and_bad_shapes(change, field):
+    assert label_cover_from_dict({**_SMALL_LABEL_COVER, "phi": [[0], [1]]}).labeling == ((0,), (1,))
+    with pytest.raises(InstanceFormatError) as caught:
+        label_cover_from_dict({**_SMALL_LABEL_COVER, **change})
+    assert caught.value.field == field
 
 
 def test_reduction_layout_and_size():

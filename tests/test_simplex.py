@@ -448,17 +448,21 @@ def _implied_pool(rng):
 
 def test_implied_rows_are_kept_but_not_packed():
     rng = random.Random(31)
-    nested = same_batch = refused = 0
+    nested = earlier = refused = 0
     for _ in range(80):
         costs, rows, batches, claims = _implied_pool(rng)
         full, lean = RowStore(len(costs)), RowStore(len(costs))
+        kept = set()  # the rows no claim of their own batch covers
         for start, batch in batches:
-            given = {k: j for k, j in claims.items() if start <= k < start + len(batch)}
-            # A claim that names a row that does not imply it, or a later
-            # row, is refused, and nothing of the batch is added.
+            # Claims are positions in the batch, an implier earlier in it.
+            given = {k - start: j - start for k, j in claims.items()
+                     if start <= j < k < start + len(batch)}
+            # A claim that names a row that does not imply it, a later row
+            # or an earlier call's row (a negative position) is refused,
+            # and nothing of the batch is added.
             for k in given:
-                wrong = [j for j in range(start + len(batch)) if j != k and (
-                    j > k or not _implies(rows[j], rows[k]))]
+                wrong = [j for j in range(-start, len(batch)) if j != k and (
+                    j < 0 or j > k or not _implies(rows[start + j], rows[start + k]))]
                 if wrong:
                     with pytest.raises(ValueError):
                         lean.extend(batch, {**given, k: rng.choice(wrong)})
@@ -467,30 +471,30 @@ def test_implied_rows_are_kept_but_not_packed():
                     break
             full.extend(batch)
             lean.extend(batch, given)
-            nested += sum(rows[k] != rows[j] for k, j in given.items())
-            same_batch += sum(j >= start for j in given.values())
+            nested += sum(batch[k] != batch[j] for k, j in given.items())
+            earlier += sum(j < start <= k < start + len(batch) for k, j in claims.items())
+            kept |= {(*c, r) for k, (c, r) in enumerate(batch) if k not in given}
             assert list(lean) == list(full) == rows[:start + len(batch)]
             assert solve_box_covering_lp(costs, lean) == solve_box_covering_lp(costs, full)
-        kept = {(*c, r) for k, (c, r) in enumerate(rows) if k not in claims}
         assert (len(lean), lean.packed, full.packed) == (
             len(rows), len(kept), len({(*c, r) for c, r in rows}))
         assert solve_box_covering_lp(costs, lean) == _reference_solve(costs, rows)
-    assert min(nested, same_batch, refused) >= 100
+    assert min(nested, earlier, refused) >= 100
 
 
 def test_false_implied_claims_raise_and_add_nothing():
     first = [([1, 2, 0], 2), ([0, 1, 1], 1)]
     store = RowStore(3, first)
     for rows, claims in (
-        ([([1, 2, 1], 3)], {2: 0}),                  # a larger rhs
-        ([([1, 1, 5], 1)], {2: 0}),                  # a smaller coefficient
-        ([([1, 2, 0], 2), ([1, 2, 0], 2)], {2: 3}),  # a later row
-        ([([1, 2, 0], 2)], {2: 2}),                  # the row itself
-        ([([1, 2, 0], 2)], {1: 0}),                  # a row added before
-        ([([1, 2, 0], 2)], {3: 0}),                  # a row not given
+        ([([1, 2, 0], 2), ([1, 2, 1], 3)], {1: 0}),  # a larger rhs
+        ([([1, 2, 0], 2), ([1, 1, 5], 1)], {1: 0}),  # a smaller coefficient
+        ([([1, 2, 0], 2), ([1, 2, 0], 2)], {0: 1}),  # a later row
+        ([([1, 2, 0], 2)], {0: 0}),                  # the row itself
+        ([([1, 2, 1], 2)], {0: -2}),                 # an earlier call's row
+        ([([1, 2, 0], 2)], {1: 0}),                  # a row not given
     ):
         with pytest.raises(ValueError):
             store.extend(rows, claims)
         assert (list(store), store.packed) == (first, 2)
-    store.extend([([1, 2, 1], 2), ([1, 3, 1], 1)], {2: 0, 3: 2})
-    assert (len(store), store.packed) == (4, 2)
+    store.extend([([1, 2, 1], 2), ([1, 3, 1], 1)], {1: 0})
+    assert (len(store), store.packed) == (4, 3)
