@@ -18,17 +18,18 @@ InfeasibleError, and the incumbent lowers each edge from its bound, cost
 descending, to the fewest copies that keep its rows covered.  Counts
 branch ascending, so a subset tries excluding an edge first.  Costs are
 scaled once to integers by the lcm of their denominators.  Each row
-keeps its gap (need - chosen), updated only on the rows of the edge
-being decided, and its slack (chosen + open - need), one fixed-width
-field of a single integer that deciding an edge updates in one addition.
+keeps its gap (need - chosen) and its slack (chosen + open - need) as
+one byte-aligned field of each of two integers laid out alike, so
+deciding an edge moves all of its rows' gaps or slacks in one addition.
 Pruning uses a fractional covering lower bound: the cheapest fill of the
 first most deficient row from its undecided lots, each lot being an edge
 at its full bound, taken in order of cost per capacity, then cost, then
 index.  That row is carried to the children: excluding an edge changes
-no gap and including one only lowers its own rows' gaps, so the row is
-searched for again only below an included edge that crosses it.  The
-bound never overestimates, so only strictly-worse branches die and the
-lexicographically least optimum survives ties, whatever the incumbent.
+no gap and including one only lowers its own rows' gaps, so the gaps
+are decoded to find the row again only below an included edge that
+crosses it.  The bound never overestimates, so only strictly-worse
+branches die and the lexicographically least optimum survives ties,
+whatever the incumbent.
 Every search raises CapabilityError past NODE_BUDGET nodes.
 """
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from struct import Struct
 
 from .errors import CapabilityError, InfeasibleError, InstanceFormatError, invariant
 from .graphs import (
@@ -57,6 +59,7 @@ from .util import ceil_div, over_common_denominator
 
 NODE_BUDGET = 1_000_000  # of every search; see _search
 _BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of the narrow field sizes
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,16 @@ def constraint_rows(instance):
 # ---------------------------------------------------------------------------
 # branch and bound over bounded copy vectors
 
+def _fields(count, size):
+    """The reader of an integer of `count` fields of `size` bytes, field 0
+    lowest: it returns the fields' values in order, the same on any host."""
+    if size in _CODES:
+        unpack = Struct(f"<{count}{_CODES[size]}").unpack
+        return lambda value: unpack(value.to_bytes(count * size, "little"))
+    width, mask = 8 * size, (1 << 8 * size) - 1
+    return lambda value: [value >> width * r & mask for r in range(count)]
+
+
 def _search(rows, costs, caps, bound, order, leaf_key):
     """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
     covers every row: a row (edge tuple, need) is covered when the
@@ -124,33 +137,35 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     explores more than NODE_BUDGET nodes: a count of nodes, not of
     seconds, and each node's work grows with the number of rows.
     """
-    m = len(costs)
+    m, n = len(costs), len(rows)
     budget = NODE_BUDGET
     price, scale = over_common_denominator(costs)
-    rank = [0] * m
-    for i, e in enumerate(order):
-        rank[e] = i
+    rank = {e: i for i, e in enumerate(order)}
+    span = [bound[e] * caps[e] for e in range(m)]
+    # Offset by `bias`, a row's slack (chosen + open - need, in [-need, sum
+    # of spans]) and gap (need - chosen, in [need - sum of spans, need]) are
+    # one `size`-byte field of `packed` and of `gaps`: deciding an edge moves
+    # its rows in one addition (`step[e]` is u(e) on each), a row is short
+    # exactly when its slack field lacks the bias bit, `fields` reads them all.
+    bias = 1 << max(max(need for _, need in rows), sum(span)).bit_length()
+    size = next((s for s in _CODES if bias < 1 << 8 * s), -(-bias.bit_length() // 64) * 8)
+    width, mask, fields = 8 * size, (1 << 8 * size) - 1, _fields(n, size)
     rows_of = [[] for _ in range(m)]
+    marks = [bytearray(n * size) for _ in range(m)]  # byte 0 of each crossed row's field is 1
     for r, (key, _) in enumerate(rows):
         for e in key:
             rows_of[e].append(r)
+            marks[e][r * size] = 1
     crosses = [set(rs) for rs in rows_of]
-    span = [bound[e] * caps[e] for e in range(m)]
-    slack = [sum(span[e] for e in key) - need for key, need in rows]
+    step = [caps[e] * int.from_bytes(mark, "little") for e, mark in enumerate(marks)]
+    high = int.from_bytes(bias.to_bytes(size, "little") * n, "little")
+    needs = int.from_bytes(b"".join(need.to_bytes(size, "little") for _, need in rows), "little")
+    packed = high - needs + sum(bound[e] * step[e] for e in range(m))
+    gaps = high + needs
+    slack = [field - bias for field in fields(packed)]
     for row, room in zip(rows, slack):
         if room < 0:
             raise InfeasibleError("requirements exceed the edges at their copy bounds", row)
-    gap = [need for _, need in rows]
-    # Each row's slack lies in [-need, sum of spans].  Offset by `bias`,
-    # every slack is one `width`-bit field of the integer `packed`, so
-    # deciding an edge moves all of its rows' slacks in one addition
-    # (`step[e]` is u(e) on each of them), and a row is short exactly
-    # when its field lacks the bias bit.
-    bias = 1 << max(max(need for _, need in rows), sum(span)).bit_length()
-    width = bias.bit_length() + 1
-    packed = sum((room + bias) << (width * r) for r, room in enumerate(slack))
-    high = sum(bias << (width * r) for r in range(len(rows)))
-    step = [sum(caps[e] << (width * r) for r in rs) for e, rs in enumerate(rows_of)]
     # The incumbent: every edge at its bound, then each edge, by cost
     # descending then index, lowered to the fewest copies that keep its
     # rows covered.
@@ -163,11 +178,10 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     # One lot per edge, its full bound: (rank, cost, capacity).  Each row
     # lists its lots in fill order, sharing the tuples.
     lot = [(rank[e], price[e] * bound[e], span[e]) for e in range(m)]
-    fill_order = sorted(range(m), key=lambda e: (Fraction(lot[e][1], lot[e][2]), lot[e][1], e))
-    place = [0] * m
-    for i, e in enumerate(fill_order):
-        place[e] = i
-    lots = [[lot[e] for e in sorted(key, key=place.__getitem__)] for key, _ in rows]
+    lots = [[] for _ in range(n)]
+    for e in sorted(range(m), key=lambda e: (Fraction(lot[e][1], lot[e][2]), lot[e][1], e)):
+        for r in rows_of[e]:
+            lots[r].append(lot[e])
 
     best = sum(price[e] * count for e, count in enumerate(warm))
     best_key = leaf_key(warm, m)
@@ -176,17 +190,19 @@ def _search(rows, costs, caps, bound, order, leaf_key):
 
     def descend(pos, cost, deficient):
         # deficient: the parent's first most deficient row, None if it may have moved
-        nonlocal best, best_key, explored, packed
+        nonlocal best, best_key, explored, packed, gaps
         explored += 1
         if explored > budget:
             raise CapabilityError(f"search passed NODE_BUDGET = {budget} nodes")
         if packed & high != high:
             return  # some row is short even with every open copy bought
         if deficient is None:
+            gap = fields(gaps)
             worst = max(gap)
             deficient = gap.index(worst)
+            worst -= bias
         else:
-            worst = gap[deficient]
+            worst = (gaps >> width * deficient & mask) - bias
         if worst <= 0:
             if cost <= best:
                 key = leaf_key(current, pos)
@@ -207,20 +223,18 @@ def _search(rows, costs, caps, bound, order, leaf_key):
                 worst -= u
                 room -= c
         e = order[pos]
-        cap, full, rs, one = caps[e], span[e], rows_of[e], step[e]
+        one = step[e]
         packed -= bound[e] * one
         descend(pos + 1, cost, deficient)
         if deficient in crosses[e]:
             deficient = None
         for count in range(1, bound[e] + 1):
-            for r in rs:
-                gap[r] -= cap
+            gaps -= one
             packed += one
             current[e] = count
             descend(pos + 1, cost + price[e] * count, deficient)
         current[e] = 0
-        for r in rs:
-            gap[r] += full
+        gaps += bound[e] * one
 
     descend(0, 0, None)
     return Fraction(best, scale), best_key, explored
@@ -378,7 +392,11 @@ class LabelCoverInstance:
         deg_a = [0] * self.a_count
         deg_b = [0] * self.b_count
         for i, entry in enumerate(self.relations):
-            a, b, pairs = entry
+            try:
+                a, b, pairs = entry
+                pairs = [(la, lb) for la, lb in pairs]
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"pi[{i}]", "entries are (a, b, ((la, lb), ...))") from None
             if not (_is_int(a) and 0 <= a < self.a_count):
                 raise InstanceFormatError(f"pi[{i}]", f"A-vertex {a!r} out of range")
             if not (_is_int(b) and 0 <= b < self.b_count):
@@ -401,8 +419,10 @@ class LabelCoverInstance:
         if len(rels) != self.a_count * self.degree_a or len(rels) != self.b_count * self.degree_b:
             raise InstanceFormatError("pi", "edge count must equal |A| dA = |B| dB")
         if self.labeling is not None:
-            la, lb = self.labeling
-            la, lb = tuple(la), tuple(lb)
+            try:
+                la, lb = (tuple(side) for side in self.labeling)
+            except (TypeError, ValueError):
+                raise InstanceFormatError("phi", "labeling is (A labels, B labels)") from None
             if len(la) != self.a_count or len(lb) != self.b_count:
                 raise InstanceFormatError("phi", "labeling must cover every vertex")
             if any(not (_is_int(v) and 0 <= v < self.labels_a) for v in la):

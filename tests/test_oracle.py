@@ -476,6 +476,52 @@ def test_copy_search_matches_the_reference_tree():
         assert (opt.cost, opt.copies, opt.explored) == _reference_copies(inst), seed
 
 
+def test_search_trees_hold_at_every_field_size(monkeypatch):
+    # Capacities in [lo, 2 lo] widen the packed slack and gap fields from
+    # one byte through 2, 4 and 8 to two 64-bit words; the trees and
+    # results must not depend on the field size.
+    sizes = set()
+    fields = oracle._fields
+
+    def record(count, size):
+        sizes.add(size)
+        return fields(count, size)
+    monkeypatch.setattr(oracle, "_fields", record)
+    for lo in (1, 200, 5000, 2 ** 20, 2 ** 40, 2 ** 70):
+        for seed in range(3):
+            inst = gen_random("uniform", 6, 10, seed, cap_range=(lo, 2 * lo))
+            opt = exact_optimum(inst)
+            assert (opt.cost, opt.edges, opt.explored) == _reference_subset(inst), (lo, seed)
+            inst = gen_random("pairs", 5, 8, seed, cap_range=(lo, 2 * lo), pairs=2)
+            opt = exact_optimum_multicopy(inst)
+            assert (opt.cost, opt.copies, opt.explored) == _reference_copies(inst), (lo, seed)
+    assert sizes == {1, 2, 4, 8, 16}
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24])
+def test_fields_read_little_endian_fields_on_any_host(size):
+    # The decode reads with explicit byte orders (struct's "<" codes, or
+    # shifts for wide fields), so it never reads the host's native order:
+    # each field comes back as the shifts and masks of the integer say.
+    rng = random.Random(size)
+    values = [rng.getrandbits(8 * size) for _ in range(7)] + [0, (1 << 8 * size) - 1]
+    packed = sum(v << (8 * size * r) for r, v in enumerate(values))
+    assert list(oracle._fields(len(values), size)(packed)) == values
+
+
+def test_infeasibility_witness_is_the_first_short_row():
+    # A path with capacities 1, 2, 1 under R = 3: every single-edge cut
+    # is short, and the witness is the first of them in row order.
+    path = Instance(4, ((0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1)), Uniform(3))
+    rows = constraint_rows(path)
+    short = [(key, need) for key, need in rows
+             if sum(path.edges[e].capacity for e in key) < need]
+    assert len(short) >= 3
+    with pytest.raises(InfeasibleError) as exc:
+        exact_optimum(path)
+    assert exc.value.witness == short[0] == ((0,), 3)
+
+
 def test_node_counts_are_pinned():
     # The benchmark's anchor and the pairs-multicopy tail instance: a
     # changed count means a changed search tree.
@@ -485,13 +531,22 @@ def test_node_counts_are_pinned():
 
 
 def test_node_totals_over_the_lp_populations_are_pinned():
-    # Population 1 of the benchmark's uniform-lp (the anchor, then
+    # Populations 1 and 2 of the benchmark's uniform-lp (the anchor, then
     # n = 10, 11, 12 with m = 2n) and kway-partition workloads.
-    uniform = [gen_random("uniform", 12, 24, 7)] + [
-        gen_random("uniform", 10 + i % 3, 20 + 2 * (i % 3), 1000 + i) for i in range(8)]
-    kway = [gen_random("kway", 9, 16, 1000 + i, levels=2) for i in range(10)]
-    assert sum(exact_optimum(inst).explored for inst in uniform) == 10693
-    assert sum(exact_optimum(inst).explored for inst in kway) == 2504
+    for population, uniform_nodes, kway_nodes in ((1, 10693, 2504), (2, 13875, 3922)):
+        seed = 1000 * population
+        uniform = [gen_random("uniform", 12, 24, 7)] + [
+            gen_random("uniform", 10 + i % 3, 20 + 2 * (i % 3), seed + i) for i in range(8)]
+        kway = [gen_random("kway", 9, 16, seed + i, levels=2) for i in range(10)]
+        assert sum(exact_optimum(inst).explored for inst in uniform) == uniform_nodes
+        assert sum(exact_optimum(inst).explored for inst in kway) == kway_nodes
+
+
+def test_copy_node_total_over_the_pairs_population_is_pinned():
+    # Population 1 of the benchmark's pairs-multicopy workload: 130
+    # instances of three pairs on n = 8, m = 12.
+    pairs = [gen_random("pairs", 8, 12, 1000 + i, pairs=3) for i in range(130)]
+    assert sum(exact_optimum_multicopy(inst).explored for inst in pairs) == 457169
 
 
 def test_search_stops_at_its_node_budget():
@@ -683,6 +738,24 @@ def test_label_cover_rejects_malformed_inputs():
     with pytest.raises(InstanceFormatError, match="B-side label out of range"):
         LabelCoverInstance(**good, relations=((0, 0, ((0, 0),)),),
                            labeling=((0,), (5,)))
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"relations": ((0, 0, 5),)}, "pi[0]"),
+    ({"relations": ((0, 0),)}, "pi[0]"),
+    ({"relations": ((0, 0, (5,)),)}, "pi[0]"),
+    ({"relations": ((0, 0, ((0, 1, 1),)),)}, "pi[0]"),
+    ({"labeling": (0, 0)}, "phi"),
+    ({"labeling": ((0,),)}, "phi"),
+    ({"labeling": 7}, "phi"),
+])
+def test_label_cover_rejects_malformed_shapes_from_python(change, field):
+    good = dict(a_count=1, b_count=1, degree_a=1, degree_b=1, labels_a=2, labels_b=2,
+                relations=((0, 0, ((0, 1),)),))
+    assert LabelCoverInstance(**good, labeling=((0,), (1,))).labeling == ((0,), (1,))
+    with pytest.raises(InstanceFormatError) as caught:
+        LabelCoverInstance(**{**good, **change})
+    assert caught.value.field == field
 
 
 def test_violated_by_lists_broken_constraints():
