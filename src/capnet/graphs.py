@@ -29,13 +29,11 @@ import functools
 import itertools
 import json
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, InstanceFormatError
-from .util import format_rational, iter_partitions, over_common_denominator
+from .util import FieldCodec, format_rational, iter_partitions, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -285,9 +283,9 @@ class CutFamily:
     row or of a distinct crossing.  `groups` lists each (crossing,
     requirement) pair once.  Work that depends on the crossing alone runs
     once per distinct crossing: `lanes[e]` has a byte per distinct
-    crossing, 1 where it cuts edge e, and `crossing_sums` sums a
-    weighting over each distinct crossing, which `capacities` reads per
-    row through `slot`.
+    crossing, 1 where it cuts edge e; `crossing_sums` sums a weighting
+    over every distinct crossing at once, in 64-bit fields that util's
+    FieldCodec packs and reads, and `capacities` reads them through `slot`.
     """
 
     def __init__(self, instance, sizes=None):
@@ -313,14 +311,9 @@ class CutFamily:
         index = {}
         self.slot = [index.setdefault(joined[i::rows], len(index)) for i in range(rows)]
         self.keys = tuple(index)
-        # Edge e's lane over the distinct crossings: one byte each in
-        # lanes[e], one 64-bit field each in _packed[e].
-        keys, field = b"".join(index), bytearray(8 * len(index))
+        keys, self._codec = b"".join(index), FieldCodec(len(index), 8)
         self.lanes = tuple(keys[e::m] for e in range(m))
-        self._packed = []
-        for bits in self.lanes:
-            field[::8] = bits
-            self._packed.append(int.from_bytes(field, "little"))
+        self._packed = [self._codec.pack(bits) for bits in self.lanes]
         req = instance.requirements
         if isinstance(req, Pairs):
             need = [0] * rows
@@ -338,11 +331,7 @@ class CutFamily:
         if len(nums) != len(self._packed):
             raise ValueError("the weighting must give every edge a weight")
         if min(nums, default=0) >= 0 and sum(nums) < 1 << 64:  # every sum fits its field
-            packed = sum(map(operator.mul, nums, self._packed))
-            sums = array("Q", packed.to_bytes(8 * len(self.keys), "little"))
-            if sys.byteorder == "big":
-                sums.byteswap()
-            return sums.tolist()
+            return self._codec.read(sum(map(operator.mul, nums, self._packed)))
         return [sum(itertools.compress(nums, key)) for key in self.keys]
 
     def capacities(self, weighting):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from struct import Struct
 
 from .errors import CapabilityError, InfeasibleError, InstanceFormatError, invariant
 from .graphs import (
@@ -55,11 +54,10 @@ from .graphs import (
     subset_weighting,
 )
 from .kclp import FractionalSolution, variant_for
-from .util import ceil_div, over_common_denominator
+from .util import FieldCodec, ceil_div, over_common_denominator
 
 NODE_BUDGET = 1_000_000  # of every search; see _search
 _BITS = bytes.maketrans(b"\0\1", b"01")  # a lane byte as a binary digit
-_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of the narrow field sizes
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +112,6 @@ def constraint_rows(instance):
 # ---------------------------------------------------------------------------
 # branch and bound over bounded copy vectors
 
-def _fields(count, size):
-    """The reader of an integer of `count` fields of `size` bytes, field 0
-    lowest: it returns the fields' values in order, the same on any host."""
-    if size in _CODES:
-        unpack = Struct(f"<{count}{_CODES[size]}").unpack
-        return lambda value: unpack(value.to_bytes(count * size, "little"))
-    width, mask = 8 * size, (1 << 8 * size) - 1
-    return lambda value: [value >> width * r & mask for r in range(count)]
-
-
 def _search(rows, costs, caps, bound, order, leaf_key):
     """Least (cost, leaf_key) copy vector with copies[e] <= bound[e] that
     covers every row: a row (edge tuple, need) is covered when the
@@ -146,23 +134,21 @@ def _search(rows, costs, caps, bound, order, leaf_key):
     # of spans]) and gap (need - chosen, in [need - sum of spans, need]) are
     # one `size`-byte field of `packed` and of `gaps`: deciding an edge moves
     # its rows in one addition (`step[e]` is u(e) on each), a row is short
-    # exactly when its slack field lacks the bias bit, `fields` reads them all.
+    # exactly when its slack field lacks the bias bit, `codec` reads them all.
     bias = 1 << max(max(need for _, need in rows), sum(span)).bit_length()
-    size = next((s for s in _CODES if bias < 1 << 8 * s), -(-bias.bit_length() // 64) * 8)
-    width, mask, fields = 8 * size, (1 << 8 * size) - 1, _fields(n, size)
+    size = next((s for s in (1, 2, 4, 8) if bias < 1 << 8 * s), -(-bias.bit_length() // 64) * 8)
+    width, mask, codec = 8 * size, (1 << 8 * size) - 1, FieldCodec(n, size)
     rows_of = [[] for _ in range(m)]
-    marks = [bytearray(n * size) for _ in range(m)]  # byte 0 of each crossed row's field is 1
+    marks = [bytearray(n) for _ in range(m)]  # 1 for each row the edge crosses
     for r, (key, _) in enumerate(rows):
         for e in key:
             rows_of[e].append(r)
-            marks[e][r * size] = 1
-    crosses = [set(rs) for rs in rows_of]
-    step = [caps[e] * int.from_bytes(mark, "little") for e, mark in enumerate(marks)]
-    high = int.from_bytes(bias.to_bytes(size, "little") * n, "little")
-    needs = int.from_bytes(b"".join(need.to_bytes(size, "little") for _, need in rows), "little")
+            marks[e][r] = 1
+    step = [caps[e] * codec.pack(mark) for e, mark in enumerate(marks)]
+    high, needs = codec.pack([bias] * n), codec.pack([need for _, need in rows])
     packed = high - needs + sum(bound[e] * step[e] for e in range(m))
     gaps = high + needs
-    slack = [field - bias for field in fields(packed)]
+    slack = [field - bias for field in codec.read(packed)]
     for row, room in zip(rows, slack):
         if room < 0:
             raise InfeasibleError("requirements exceed the edges at their copy bounds", row)
@@ -197,7 +183,7 @@ def _search(rows, costs, caps, bound, order, leaf_key):
         if packed & high != high:
             return  # some row is short even with every open copy bought
         if deficient is None:
-            gap = fields(gaps)
+            gap = codec.read(gaps)
             worst = max(gap)
             deficient = gap.index(worst)
             worst -= bias
@@ -226,7 +212,7 @@ def _search(rows, costs, caps, bound, order, leaf_key):
         one = step[e]
         packed -= bound[e] * one
         descend(pos + 1, cost, deficient)
-        if deficient in crosses[e]:
+        if marks[e][deficient]:
             deficient = None
         for count in range(1, bound[e] + 1):
             gaps -= one
@@ -391,6 +377,8 @@ class LabelCoverInstance:
         rels = []
         deg_a = [0] * self.a_count
         deg_b = [0] * self.b_count
+        if not hasattr(self.relations, "__iter__"):
+            raise InstanceFormatError("pi", "entries are a sequence of (a, b, pairs)")
         for i, entry in enumerate(self.relations):
             try:
                 a, b, pairs = entry

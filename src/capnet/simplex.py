@@ -35,7 +35,7 @@ rate 0.  RowStore packs each column of A and of b into one integer with a
 w-bit field per row, leaving out the rows an earlier row implies, whose
 surplus never leaves the basis (see RowStore).  Either sum, over all
 rows at once, is then one sum of multiplier times packed column, read
-back with one to_bytes.  A field is exact while its sum stays below
+back by util's FieldCodec.  A field is exact while its sum stays below
 2^(w-1) in absolute value: every field is bounded by (largest row sum
 |a| + |b|) times the largest |multiplier|, or times D for a value,
 since 0 <= x <= 1, and a bound reaching 2^(w-2) repacks the columns
@@ -63,22 +63,13 @@ updates it with the same formula and a bound flip by one column.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from fractions import Fraction
 from itertools import compress
 
-from .util import over_common_denominator
+from .util import FieldCodec, over_common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HIGH_BIT = bytes(b >> 7 for b in range(256))
-
-
-def _biased(values, width):
-    """sum_k (values[k] + 2^(width-1) - 1) << (width * k)."""
-    half, size = (1 << (width - 1)) - 1, width // 8
-    return int.from_bytes(b"".join([(v + half).to_bytes(size, "little") for v in values]), "little")
 
 
 class RowStore:
@@ -88,7 +79,7 @@ class RowStore:
     added; len() and iteration give the rows as added, as (coeffs, rhs),
     and `packed` counts the rows packed.  A row of the wrong width, or
     one that x = 1 does not satisfy, raises ValueError, and none of the
-    rows given is added.
+    rows given is added.  util's FieldCodec packs and reads every field.
 
     A row B is kept but not packed when its scaled integers repeat an
     earlier row's, or when extend() is told that an earlier row A of the
@@ -108,8 +99,7 @@ class RowStore:
         self.width = 64   # bits per packed field
         self.extent = 0   # largest sum |a_ij| + |b_i| of a row
         self._rows, self._ints, self._seen = [], [], set()
-        self._columns = [0] * (m + 1)  # column m packs the right-hand sides
-        self._bias = 0
+        self._columns, self._bias = [0] * (m + 1), 0  # column m packs the right-hand sides
         self.extend(rows)
 
     def __len__(self):
@@ -148,21 +138,25 @@ class RowStore:
         if self.extent >= 1 << (self.width - 2):
             self._repack(self.extent)
         else:
-            shift, bias = self.width * (len(self._ints) - len(new)), _biased([0] * len(new), self.width)
-            for j, column in enumerate(zip(*new)):
-                if self.width == 64 and min(column) >= 0 and sys.byteorder == "little":
-                    packed = int.from_bytes(array("Q", column), "little")  # one unsigned field each
-                else:
-                    packed = _biased(column, self.width) - bias
-                self._columns[j] += packed << shift
-            self._bias += bias << shift
+            self._pack(new, self.width * (len(self._ints) - len(new)))
+
+    def _pack(self, rows, shift):
+        """Add `rows` as the fields from bit `shift` on; a column with a
+        negative entry packs each field plus 2^(w-1) - 1, less `bias`."""
+        half, codec = (1 << (self.width - 1)) - 1, FieldCodec(len(rows), self.width // 8)
+        bias = codec.pack([half] * len(rows))
+        for j, column in enumerate(zip(*rows)):
+            packed = codec.pack(column) if min(column) >= 0 else codec.pack([v + half for v in column]) - bias
+            self._columns[j] += packed << shift
+        self._bias += bias << shift
+        self._codec = FieldCodec(len(self._ints), self.width // 8)
 
     def _repack(self, bound):
         """Pack at least twice as wide, in whole 64-bit words, so that
         `bound` stays below 2^(w-2)."""
         self.width = max(2 * self.width, -(-(bound.bit_length() + 2) // 64) * 64)
-        self._bias = _biased([0] * len(self._ints), self.width)
-        self._columns = [_biased(column, self.width) - self._bias for column in zip(*self._ints)]
+        self._columns, self._bias = [0] * (self.m + 1), 0
+        self._pack(self._ints, 0)
 
     def widen(self, top):
         """Repack if a sum with multipliers up to `top` in absolute value
@@ -181,14 +175,9 @@ class RowStore:
         """(fields, bias, positive) of a packed total: for the i-th
         distinct row, fields[i] - bias is its sum, and positive[i] is 1 if
         that is above 0.  Every sum must lie within the last widen()."""
-        size = self.width // 8
-        raw = (total + self._bias).to_bytes(size * len(self._ints), "little")
-        if size == 8 and sys.byteorder == "little":
-            fields = memoryview(raw).cast("Q")
-        else:
-            fields = [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
         # With the bias 2^(w-1) - 1 a field's top bit is set iff its sum is >= 1.
-        return fields, (1 << (self.width - 1)) - 1, raw[size - 1::size].translate(_HIGH_BIT)
+        fields, positive = self._codec.read_with_top_bits(total + self._bias)
+        return fields, (1 << (self.width - 1)) - 1, positive
 
 
 def solve_box_covering_lp(costs, rows):

@@ -1,4 +1,4 @@
-"""Shared helpers: fixed-point logs, rational utilities, seed derivation."""
+"""Shared helpers: fixed-point logs, rationals, seeds, partitions, packed fields."""
 
 from __future__ import annotations
 
@@ -6,8 +6,11 @@ import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
+from struct import Struct
 
 LOG2_FIXED_BITS = 16
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes of the narrow field sizes
+_HIGH_BIT = bytes(b >> 7 for b in range(256))
 
 
 @lru_cache(maxsize=None)
@@ -90,3 +93,33 @@ def iter_partitions(n: int, blocks: int):
         level = [(a + b, w) for a, u in level for b, w in step[u]]
     for a, _ in level:
         yield a
+
+
+class FieldCodec:
+    """`count` non-negative fields of `size` bytes in one integer, field k at
+    bit 8 * size * k, little-endian on any host: struct's "<" codes up to 8
+    bytes, each field's own bytes above.  `read_with_top_bits` also gives a
+    byte per field: its top bit."""
+
+    def __init__(self, count, size):
+        self.size, self.length = size, count * size
+        if size in _CODES:
+            form = Struct(f"<{count}{_CODES[size]}")
+            self._pack, self._unpack = form.pack, form.unpack
+        else:
+            self._pack = lambda *fields: b"".join([v.to_bytes(size, "little") for v in fields])
+            self._unpack = lambda raw: [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+    def pack(self, fields):
+        if isinstance(fields, (bytes, bytearray)):  # fields below 256: one strided copy
+            raw = bytearray(self.length)
+            raw[::self.size] = fields
+            return int.from_bytes(raw, "little")
+        return int.from_bytes(self._pack(*fields), "little")
+
+    def read(self, value):
+        return self._unpack(value.to_bytes(self.length, "little"))
+
+    def read_with_top_bits(self, value):
+        raw = value.to_bytes(self.length, "little")
+        return self._unpack(raw), raw[self.size - 1::self.size].translate(_HIGH_BIT)

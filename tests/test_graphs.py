@@ -303,6 +303,7 @@ def test_crossing_sums_through_slot_are_the_row_capacities(sizes, directed):
     inst = Instance(7, base.edges, base.requirements, directed=directed)
     family = CutFamily(inst, sizes)
     keys, slot = family.keys, family.slot
+    assert family._packed == [sum(key[e] << (64 * s) for s, key in enumerate(keys)) for e in range(inst.m)]
     rng = random.Random(11)
     top = [0] * (inst.m - 1)
     weightings = [

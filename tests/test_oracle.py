@@ -38,7 +38,7 @@ from capnet.oracle import (
 )
 from capnet.kclp import solve_good, verify_good
 from capnet.rounding import round_solution
-from capnet.util import ceil_div
+from capnet.util import FieldCodec, ceil_div
 
 from conftest import brute_copy_optimum, brute_subset_optimum, row_crossings
 
@@ -481,12 +481,12 @@ def test_search_trees_hold_at_every_field_size(monkeypatch):
     # one byte through 2, 4 and 8 to two 64-bit words; the trees and
     # results must not depend on the field size.
     sizes = set()
-    fields = oracle._fields
 
-    def record(count, size):
-        sizes.add(size)
-        return fields(count, size)
-    monkeypatch.setattr(oracle, "_fields", record)
+    class Recording(FieldCodec):
+        def read(self, data):
+            sizes.add(self.size)
+            return super().read(data)
+    monkeypatch.setattr(oracle, "FieldCodec", Recording)
     for lo in (1, 200, 5000, 2 ** 20, 2 ** 40, 2 ** 70):
         for seed in range(3):
             inst = gen_random("uniform", 6, 10, seed, cap_range=(lo, 2 * lo))
@@ -496,17 +496,6 @@ def test_search_trees_hold_at_every_field_size(monkeypatch):
             opt = exact_optimum_multicopy(inst)
             assert (opt.cost, opt.copies, opt.explored) == _reference_copies(inst), (lo, seed)
     assert sizes == {1, 2, 4, 8, 16}
-
-
-@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24])
-def test_fields_read_little_endian_fields_on_any_host(size):
-    # The decode reads with explicit byte orders (struct's "<" codes, or
-    # shifts for wide fields), so it never reads the host's native order:
-    # each field comes back as the shifts and masks of the integer say.
-    rng = random.Random(size)
-    values = [rng.getrandbits(8 * size) for _ in range(7)] + [0, (1 << 8 * size) - 1]
-    packed = sum(v << (8 * size * r) for r, v in enumerate(values))
-    assert list(oracle._fields(len(values), size)(packed)) == values
 
 
 def test_infeasibility_witness_is_the_first_short_row():
@@ -748,6 +737,8 @@ def test_label_cover_rejects_malformed_inputs():
     ({"labeling": (0, 0)}, "phi"),
     ({"labeling": ((0,),)}, "phi"),
     ({"labeling": 7}, "phi"),
+    ({"relations": 5}, "pi"),
+    ({"relations": None}, "pi"),
 ])
 def test_label_cover_rejects_malformed_shapes_from_python(change, field):
     good = dict(a_count=1, b_count=1, degree_a=1, degree_b=1, labels_a=2, labels_b=2,

@@ -367,6 +367,41 @@ def test_wide_fields_match_reference(size):
     assert max(widths) >= 256
 
 
+def test_packed_columns_are_the_weighted_sums_of_their_rows():
+    # Column j packs a_ij of the k-th packed row as a_ij * 2^(w k), w the
+    # field width: checked on negative, zero and >= 2^40 entries after
+    # each of three extend calls at 64 bits, then after repacks to 128
+    # and 320.  An extend packs a column with a negative entry through
+    # the field offset and one without directly; both kinds occur.
+    rng = random.Random(41)
+    m = 4
+    store = RowStore(m)
+    negative = set()
+    for _ in range(3):
+        batch = []
+        for _ in range(5):
+            coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(1 << 40, 1 << 41)))
+                      for _ in range(m)]
+            coeffs[rng.randrange(m)] = 1 << 40
+            batch.append((coeffs, rng.randint(-5, sum(coeffs))))
+        before = store.packed
+        store.extend(batch)
+        assert store.width == 64
+        negative.update(min(column) < 0 for column in zip(*store._ints[before:]))
+        assert store._columns == [sum(v << (64 * k) for k, v in enumerate(column))
+                                  for column in zip(*store._ints)]
+    columns = list(zip(*store._ints))
+    assert negative == {False, True} and any(0 in c for c in columns)
+    for top, width in ((1, 64), (1 << 30, 128), (1 << 250, 320)):
+        assert store.widen(top) == (width > 64) and store.width == width
+        assert store._columns == [sum(v << (width * k) for k, v in enumerate(column))
+                                  for column in zip(*store._ints)]
+        for j, column in enumerate(zip(*store._ints)):  # decode reads each field back
+            fields, bias, positive = store.decode(store.pack({j: 1}))
+            assert [f - bias for f in fields] == list(column)
+            assert list(positive) == [int(v > 0) for v in column]
+
+
 def test_negative_and_zero_coefficients_match_reference():
     rng = random.Random(17)
     for _ in range(150):

@@ -1,5 +1,7 @@
-"""Fixed-point logs, seed derivation, rationals, partition enumeration."""
+"""Fixed-point logs, seed derivation, rationals, partition enumeration,
+the packed field codec."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from capnet.util import (
     LOG2_FIXED_BITS,
+    FieldCodec,
     ceil_div,
     derive_seed,
     floor_log2,
@@ -150,3 +153,26 @@ def _recursive_partitions(n, blocks):
 def test_iter_partitions_matches_the_recursive_order(n):
     for blocks in range(n + 2):
         assert list(iter_partitions(n, blocks)) == list(_recursive_partitions(n, blocks)), blocks
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 24, 32])
+def test_fields_read_little_endian_fields_on_any_host(size):
+    # The codec packs and reads with explicit byte orders (struct's "<"
+    # codes, or each field's little-endian bytes when wider), so it never
+    # reads the host's native order: each field is the shifts and masks of
+    # the integer.  16 and 32 bytes are the row store's fields after a
+    # repack to 128 and 256 bits.
+    rng = random.Random(size)
+    values = [rng.getrandbits(8 * size) for _ in range(7)] + [0, (1 << 8 * size) - 1, 1 << (8 * size - 1)]
+    codec = FieldCodec(len(values), size)
+    packed = codec.pack(values)
+    assert packed == sum(v << (8 * size * r) for r, v in enumerate(values))
+    assert list(codec.read(packed)) == values
+    small = bytes(rng.randrange(256) for _ in values)  # bytes take one strided copy
+    assert codec.pack(small) == codec.pack(list(small)) == sum(v << (8 * size * r) for r, v in enumerate(small))
+    # One byte per field: its top bit.
+    fields, bits = codec.read_with_top_bits(packed)
+    assert list(fields) == values
+    assert list(bits) == [v >> (8 * size - 1) for v in values]
+    assert list(bits[-3:]) == [0, 1, 1]
+    assert FieldCodec(0, size).pack([]) == 0
